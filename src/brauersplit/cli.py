@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("alpha", type=int)
     p.add_argument("beta", type=int)
     p.add_argument("place", help="'inf', 2, or an odd prime")
-    p.add_argument("--oracle", action="store_true", help="cross-check with the residue sweep")
+    p.add_argument("--oracle", action="store_true", help="cross-check with the residue search")
     p.set_defaults(func=_cmd_hilbert)
 
     p = sub.add_parser("quat-split", parents=[common], help="split/division verdict with per-place symbols")

@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-import numpy as np
-
 from .arith import padic_valuation, require_prime, squarefree_kernel, odd_prime_divisors
-
-# Above this modulus the plain residue sweep is replaced by the digit search.
-_SWEEP_LIMIT = 2048
 
 
 @dataclass(frozen=True, order=True)
@@ -127,11 +122,10 @@ def qp_solvable_oracle(a: int, b: int, p: int, k: int) -> bool:
     gcd(x, y, z, p) = 1.
 
     Requires k >= lifting_threshold(a, b, p), which makes the answer equal to
-    solvability over Q_p.  Small moduli are swept outright; for larger p^k the
-    same tree of residues is searched digit by digit, discarding branches that
-    already fail the congruence and closing branches that Newton's lemma
-    guarantees lift to exact p-adic solutions.  No Hilbert symbol formula is
-    consulted anywhere on this path.
+    solvability over Q_p.  The tree of residues mod p^k is searched digit by
+    digit, discarding branches that already fail the congruence and closing
+    branches that Newton's lemma guarantees lift to exact p-adic solutions.
+    No Hilbert symbol formula is consulted anywhere on this path.
     """
     if a == 0 or b == 0:
         raise ValueError("oracle needs nonzero coefficients")
@@ -144,36 +138,7 @@ def qp_solvable_oracle(a: int, b: int, p: int, k: int) -> bool:
             f"k={k} below lifting threshold {threshold}; result would not "
             f"certify the p-adic answer"
         )
-    if p**k <= _SWEEP_LIMIT:
-        return _solvable_sweep(a, b, p, k)
     return _solvable_digits(a, b, p, k)
-
-
-def _solvable_sweep(a: int, b: int, p: int, k: int) -> bool:
-    # Literal enumeration of (x, y) in (Z/p^k)^2 with a square table for z.
-    pk = p**k
-    r = np.arange(pk, dtype=np.int64)
-    sq = (r * r) % pk
-    is_sq = np.zeros(pk, dtype=bool)
-    is_sq[sq] = True
-    unit = (r % p) != 0
-    unit_sq = np.zeros(pk, dtype=bool)
-    unit_sq[sq[unit]] = True
-    by2 = (b % pk) * sq % pk
-    for x in range(pk):
-        w = ((a * x * x) % pk + by2) % pk
-        if x % p:
-            # x is a unit: any z completing the congruence gives a
-            # primitive triple.
-            if is_sq[w].any():
-                return True
-        else:
-            if is_sq[w[unit]].any():
-                return True
-            # x and y both divisible by p: z must be a unit.
-            if unit_sq[w[~unit]].any():
-                return True
-    return False
 
 
 def _solvable_digits(a: int, b: int, p: int, k: int) -> bool:
@@ -200,38 +165,48 @@ def _solvable_digits(a: int, b: int, p: int, k: int) -> bool:
         )
         return 2 * e + 1 <= j
 
-    stack: list[tuple[int, int, int, int]] = []
-    for x in range(p):
-        for y in range(p):
-            w = a * x * x + b * y * y
-            for z in range(p):
-                if (w - z * z) % p:
-                    continue
-                if x == 0 and y == 0 and z == 0:
-                    continue
-                if exits(x, y, z, 1):
-                    return True
-                stack.append((x, y, z, 1))
-    while stack:
-        x, y, z, j = stack.pop()
-        # depth-k nodes always take the Newton exit when k is at or above
-        # the lifting threshold, so surviving nodes sit strictly below k
-        assert j < k
+    # Level 1 takes z from a table of square roots mod p built by squaring
+    # alone, so only the (x, y) pairs are enumerated.
+    roots: list[list[int]] = [[] for _ in range(p)]
+    for z in range(p):
+        roots[z * z % p].append(z)
+
+    def level_one():
+        for x in range(p):
+            for y in range(p):
+                for z in roots[(a * x * x + b * y * y) % p]:
+                    if x or y or z:
+                        yield x, y, z
+
+    def extensions(x: int, y: int, z: int, j: int):
         pj = p**j
         # Survivors have every gradient coordinate divisible by p, so all
         # p^3 digit extensions share the value of F mod p^(j+1): the branch
         # either dies here or branches fully.
         if (a * x * x + b * y * y - z * z) // pj % p:
-            continue
+            return
         for dx in range(p):
             xx = x + dx * pj
             for dy in range(p):
                 yy = y + dy * pj
                 for dz in range(p):
-                    zz = z + dz * pj
-                    if exits(xx, yy, zz, j + 1):
-                        return True
-                    stack.append((xx, yy, zz, j + 1))
+                    yield xx, yy, z + dz * pj
+
+    # One generator per depth holds the unexplored siblings on the current
+    # path, so memory stays O(k) however wide the tree is.
+    branches = [level_one()]
+    while branches:
+        node = next(branches[-1], None)
+        if node is None:
+            branches.pop()
+            continue
+        j = len(branches)
+        if exits(*node, j):
+            return True
+        # depth-k nodes always take the Newton exit when k is at or above
+        # the lifting threshold, so surviving nodes sit strictly below k
+        assert j < k
+        branches.append(extensions(*node, j))
     return False
 
 

@@ -16,7 +16,6 @@ printed classes and representation against each other.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -236,6 +235,9 @@ def verify_equivalence(n: int, bound: int, jobs: int = 1) -> EquivalenceReport:
         raise ValueError("bound must be at least 3")
     qs = [q for q in primes_up_to(bound) if q != 2]
     if jobs > 1 and len(qs) > 1:
+        # Imported here so that loading the package does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [qs[i::jobs] for i in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = pool.map(_equivalence_rows, [n] * len(chunks), chunks)

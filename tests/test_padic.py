@@ -1,5 +1,8 @@
+import tracemalloc
 from math import gcd
+from time import perf_counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,8 +10,6 @@ from brauersplit.arith import primes_up_to
 from brauersplit.padic import (
     ConicPoint,
     Place,
-    _solvable_digits,
-    _solvable_sweep,
     hilbert_product,
     hilbert_symbol,
     lifting_threshold,
@@ -18,6 +19,33 @@ from brauersplit.padic import (
 
 NONZERO_SMALL = st.integers(-30, 30).filter(bool)
 SMALL_PRIMES = primes_up_to(30)
+
+
+def _solvable_sweep(a: int, b: int, p: int, k: int) -> bool:
+    # Literal enumeration of (x, y) in (Z/p^k)^2 with a square table for z.
+    pk = p**k
+    r = np.arange(pk, dtype=np.int64)
+    sq = (r * r) % pk
+    is_sq = np.zeros(pk, dtype=bool)
+    is_sq[sq] = True
+    unit = (r % p) != 0
+    unit_sq = np.zeros(pk, dtype=bool)
+    unit_sq[sq[unit]] = True
+    by2 = (b % pk) * sq % pk
+    for x in range(pk):
+        w = ((a * x * x) % pk + by2) % pk
+        if x % p:
+            # x is a unit: any z completing the congruence gives a
+            # primitive triple.
+            if is_sq[w].any():
+                return True
+        else:
+            if is_sq[w[unit]].any():
+                return True
+            # x and y both divisible by p: z must be a unit.
+            if unit_sq[w[~unit]].any():
+                return True
+    return False
 
 
 def test_place_validation_and_order():
@@ -131,11 +159,51 @@ def test_oracle_agrees_with_symbol(a, b, p):
 @settings(max_examples=60)
 @given(st.integers(-40, 40).filter(bool), st.integers(-40, 40).filter(bool), st.sampled_from([2, 3, 5, 7]))
 def test_sweep_and_digit_search_agree(a, b, p):
-    # the two oracle code paths decide the same predicate wherever both run
+    # the literal enumeration and the digit search decide the same predicate
+    # wherever the enumeration is affordable
     k = lifting_threshold(a, b, p)
     if p**k > 2048:
         return
-    assert _solvable_sweep(a, b, p, k) == _solvable_digits(a, b, p, k)
+    assert _solvable_sweep(a, b, p, k) == qp_solvable_oracle(a, b, p, k)
+
+
+def test_sweep_and_digit_search_agree_at_modulus_2048():
+    # v_2(4ab) = 5 puts the lifting threshold at k = 11, p^k = 2048
+    for a, b in [(8, 1), (-8, 3), (2, 12), (-6, 20), (24, -5), (-1, -8)]:
+        k = lifting_threshold(a, b, 2)
+        assert 2**k == 2048
+        assert _solvable_sweep(a, b, 2, k) == qp_solvable_oracle(a, b, 2, k)
+
+
+@pytest.mark.parametrize("p", [1999, 2039])
+def test_oracle_first_level_at_large_prime(p):
+    # with b a non-residue the whole x = 0 row has no root, so a first level
+    # that scanned z would spend p^2 steps there before the exit at x = 1
+    b = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    start = perf_counter()
+    verdict = qp_solvable_oracle(1, b, p, 1)
+    assert perf_counter() - start < 0.1
+    assert verdict == (hilbert_symbol(1, b, Place.finite(p)) == 1)
+
+
+def test_oracle_search_holds_only_its_path():
+    # every level-2 survivor of (58, 87) at p = 29 has 29^3 extensions; a
+    # search that queued them all would peak in the megabytes
+    tracemalloc.start()
+    try:
+        assert qp_solvable_oracle(58, 87, 29, 5) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_oracle_with_p_dividing_ab():
+    # 2 and 3 are non-residues mod 101 and 5 is a residue
+    for a, b in [(303, 2), (202, 3), (202, 5), (-101, 5)]:
+        k = lifting_threshold(a, b, 101)
+        assert k == 3
+        assert qp_solvable_oracle(a, b, 101, k) == (hilbert_symbol(a, b, Place.finite(101)) == 1)
 
 
 def test_point_search_frozen_values():
