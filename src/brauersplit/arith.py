@@ -147,17 +147,6 @@ def odd_prime_divisors(n: int) -> list[int]:
     return sorted(p for p in factorize(n) if p != 2)
 
 
-def squarefree_kernel(n: int) -> int:
-    """n with all square prime factors removed (sign preserved)."""
-    if n == 0:
-        raise ValueError("kernel of 0 undefined")
-    k = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            k *= p
-    return -k if n < 0 else k
-
-
 def primes_up_to(bound: int) -> list[int]:
     """Primes <= bound by sieve of Eratosthenes."""
     if bound < 2:

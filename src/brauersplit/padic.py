@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import padic_valuation, require_prime, squarefree_kernel, odd_prime_divisors
+from .arith import padic_valuation, require_prime, odd_prime_divisors
 
 
 @dataclass(frozen=True, order=True)
@@ -71,29 +71,25 @@ def _omega(u: int) -> int:
 
 
 def hilbert_symbol(a: int, b: int, place: Place) -> int:
-    """Hilbert symbol (a, b / place) in {-1, +1} for nonzero integers a, b."""
+    """Hilbert symbol (a, b / place) in {-1, +1} for nonzero integers a, b.
+
+    With a = p^va*u, b = p^vb*v and u, v units at p, it is (Serre, *A Course
+    in Arithmetic*, Ch. III, Thm. 1) (-1)^(va*vb*(p-1)/2) (u/p)^vb (v/p)^va at
+    odd p and (-1)^(eps(u)eps(v) + va*omega(v) + vb*omega(u)) at p = 2."""
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     if place.is_infinite:
         return -1 if (a < 0 and b < 0) else 1
     p = place.p
-    # Strip square parts so both exponents below land in {0, 1}.
-    a = squarefree_kernel(a)
-    b = squarefree_kernel(b)
-    va, vb = 0, 0
-    if a % p == 0:
-        va, a = 1, a // p
-    if b % p == 0:
-        vb, b = 1, b // p
+    va, vb = padic_valuation(a, p), padic_valuation(b, p)
+    u, v = a // p**va, b // p**vb
     if p == 2:
-        exponent = _eps(a) * _eps(b) + va * _omega(b) + vb * _omega(a)
+        exponent = _eps(u) * _eps(v) + va * _omega(v) + vb * _omega(u)
         return -1 if exponent % 2 else 1
-    sign = 1
-    if va and vb and (p - 1) // 2 % 2:
+    sign = -1 if va * vb * ((p - 1) // 2) % 2 else 1
+    if vb % 2 and pow(u % p, (p - 1) // 2, p) == p - 1:
         sign = -sign
-    if vb and pow(a % p, (p - 1) // 2, p) == p - 1:
-        sign = -sign
-    if va and pow(b % p, (p - 1) // 2, p) == p - 1:
+    if va % 2 and pow(v % p, (p - 1) // 2, p) == p - 1:
         sign = -sign
     return sign
 

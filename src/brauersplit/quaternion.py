@@ -215,7 +215,7 @@ def _equivalence_rows(n: int, qs: list[int]) -> list[tuple[int, bool, bool, bool
         (
             q,
             is_split_quaternion_Q(QuaternionAlgebra(-n, q)),
-            congruence_criterion(n, q),
+            CRITERIA[n].admits(q),
             represent(n, q) is not None,
         )
         for q in qs

@@ -11,7 +11,6 @@ from brauersplit.arith import (
     odd_prime_divisors,
     padic_valuation,
     primes_up_to,
-    squarefree_kernel,
 )
 
 ODD_PRIMES_SMALL = [p for p in primes_up_to(200) if p != 2]
@@ -154,16 +153,3 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == abs(n)
-
-
-@given(st.integers(-10**6, 10**6).filter(bool))
-def test_squarefree_kernel(n):
-    k = squarefree_kernel(n)
-    assert (k > 0) == (n > 0)
-    assert all(e == 1 for e in factorize(k).values()) or abs(k) == 1
-    # n / k is a perfect square
-    q, r = divmod(abs(n), abs(k))
-    assert r == 0
-    from math import isqrt
-
-    assert isqrt(q) ** 2 == q

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import brauersplit
 from brauersplit.cli import ReportRecord, main
 
 
@@ -33,6 +38,20 @@ def test_hilbert_oracle_agreement(capsys):
     assert code == 0
     rec = records(out)[0]
     assert rec["outputs"] == {"agree": True, "k_star": 5, "oracle": False, "value": -1}
+
+
+def test_hilbert_at_one_place_does_not_factor():
+    # (10^19 + 51)(10^19 + 87): a symbol that factored its arguments would
+    # hand this to Pollard rho
+    n = (10**19 + 51) * (10**19 + 87)
+    src = str(Path(brauersplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauersplit.cli", "hilbert", str(n), "3", "5"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0
+    assert records(proc.stdout)[0]["outputs"]["value"] == 1
 
 
 def test_hilbert_rejects_bad_place(capsys):

@@ -198,6 +198,35 @@ def test_oracle_search_holds_only_its_path():
     assert peak < 64 * 1024
 
 
+def _unit_classes(p):
+    # one unit from each square class of Z_p^*: the classes mod 8 at p = 2,
+    # a residue and a non-residue at odd p
+    if p == 2:
+        return (1, 3, 5, 7)
+    return (1, next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1))
+
+
+# Refuting a pair costs the oracle about p^(i+j) branches, so the sum of the
+# valuations is capped per prime.  Each cap still goes past the criterion-6
+# box |a|, |b| <= 30, which reaches 2^4, 3^3, 5^2 and 7^1.
+VALUATION_SUM_CAP = {2: 5, 3: 5, 5: 3, 7: 2}
+
+
+def test_oracle_agrees_with_symbol_at_high_valuations():
+    # a = p^i * u and b = -p^j * v: the symbol depends on the parities of i
+    # and j, the oracle on the literal arguments
+    for p, cap in VALUATION_SUM_CAP.items():
+        units = _unit_classes(p)
+        for i in range(cap + 1):
+            for j in range(cap + 1 - i):
+                for u in units:
+                    for v in units:
+                        a, b = p**i * u, -(p**j) * v
+                        k = lifting_threshold(a, b, p)
+                        symbol = hilbert_symbol(a, b, Place.finite(p))
+                        assert qp_solvable_oracle(a, b, p, k) == (symbol == 1), (a, b, p)
+
+
 def test_oracle_with_p_dividing_ab():
     # 2 and 3 are non-residues mod 101 and 5 is a residue
     for a, b in [(303, 2), (202, 3), (202, 5), (-101, 5)]:
