@@ -6,6 +6,16 @@ polynomial Phi_q = 1 + x + ... + x^(q-1).  Polynomials over GF(p) are plain
 coefficient lists, constant term first, trimmed, as in the usual dense
 representation.
 
+Powers in GF(p)[x]/(g) (`poly_pow_mod`) serve the character, the
+Cantor-Zassenhaus splitting and the root test of the quaternion module.  A
+base that reduces to a constant c mod g is raised by pow(c, e, p); this is
+every rational integer alpha, and every residue field of degree 1.  Other
+bases are raised by square-and-multiply on Kronecker-packed integers (one
+coefficient per fixed-width bit slot), so each product is a single bignum
+multiply; reduction mod g folds the high slots back through a table of
+x^j mod g and then takes one % p per slot.  A modulus whose leading
+coefficient vanishes mod p raises ZeroDivisionError.
+
 A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
 irreducible factor of Phi_q mod p; the residue field GF(p)[x]/(g) is where
 the q-power residue character is evaluated.  The ideal machinery is limited
@@ -52,11 +62,17 @@ def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
     return _trim(out)
 
 
-def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    if not g:
+def _lead_inverse(g: list[int], p: int) -> int:
+    # a modulus whose leading coefficient vanishes mod p is degenerate:
+    # division by it could never lower the degree
+    if not g or g[-1] % p == 0:
         raise ZeroDivisionError("polynomial division by zero")
+    return pow(g[-1], p - 2, p)
+
+
+def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    inv = _lead_inverse(g, p)
     f = f[:]
-    inv = pow(g[-1], p - 2, p)
     q = [0] * max(0, len(f) - len(g) + 1)
     while len(f) >= len(g) and f:
         c = f[-1] * inv % p
@@ -82,14 +98,58 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 
 def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
-    out = [1]
-    f = poly_mod(f, g, p)
-    while e:
-        if e & 1:
-            out = poly_mod(poly_mul(out, f, p), g, p)
-        f = poly_mod(poly_mul(f, f, p), g, p)
-        e >>= 1
-    return out
+    """f^e mod g over GF(p), for e >= 0.
+
+    A base that reduces to a constant c gives pow(c, e, p) at once.
+    Otherwise square-and-multiply runs on Kronecker-packed integers: each
+    polynomial is one int with a w-bit slot per coefficient, so a product
+    is one bignum multiply.  Reduction adds the high slots times the packed
+    x^j mod g, j = n..2n-2, then takes one % p per slot.  w holds every
+    unreduced slot, which stays below n^2 (p-1)^3 for n = deg g.
+    """
+    if e < 0:
+        raise ValueError("negative exponent")
+    inv = _lead_inverse(g, p)
+    f = poly_mod(_trim([c % p for c in f]), g, p)
+    if len(f) <= 1:
+        c = pow(f[0] if f else 0, e, p)
+        return [c] if c else []
+    if e == 0:
+        return [1]
+    n = len(g) - 1
+    w = (n * n * (p - 1) ** 3).bit_length()
+    slot = (1 << w) - 1
+    lomask = (1 << (n * w)) - 1
+    low = range(0, n * w, w)
+    top_down = low[::-1]
+
+    def pack(coeffs):
+        return sum(c << s for c, s in zip(coeffs, low))
+
+    # (offset of slot j, packed x^j mod g) for j = n..2n-2, from
+    # x^n = sum(xn[i] x^i) and x^(j+1) = x * x^j folded the same way
+    xn = [-c * inv % p for c in g[:-1]]
+    fold = []
+    t = xn
+    for s in range(n * w, (2 * n - 1) * w, w):
+        fold.append((s, pack(t)))
+        t = [(a + t[-1] * b) % p for a, b in zip([0] + t[:-1], xn)]
+
+    def mod_g(x):
+        r = x & lomask
+        for s, xj in fold:
+            r += (x >> s & slot) * xj
+        out = 0
+        for s in top_down:
+            out = out << w | (r >> s & slot) % p
+        return out
+
+    base = acc = pack(f)
+    for bit in bin(e)[3:]:
+        acc = mod_g(acc * acc)
+        if bit == "1":
+            acc = mod_g(acc * base)
+    return _trim([acc >> s & slot for s in low])
 
 
 def cyclotomic_polynomial(q: int) -> list[int]:

@@ -1,8 +1,13 @@
 import itertools
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import brauersplit
 from brauersplit.arith import multiplicative_order, primes_up_to
 from brauersplit.cyclotomic import (
     SUPPORTED_Q,
@@ -22,8 +27,10 @@ from brauersplit.cyclotomic import (
     poly_divmod,
     poly_mod,
     poly_mul,
+    poly_pow_mod,
     power_residue_character,
 )
+from poly_reference import schoolbook_pow_mod
 
 SMALL_Q = st.sampled_from(SUPPORTED_Q)
 
@@ -85,6 +92,65 @@ def test_ring_axioms(q, data):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+# ---------------------------------------------------------------------------
+# polynomials over GF(p)
+# ---------------------------------------------------------------------------
+
+
+def _random_modulus(rng, n, p, monic):
+    # coefficients drawn beyond 0..p-1 on purpose; a non-monic lead is
+    # 2..p-1 (3 at p = 2), possibly shifted by p
+    lead = 1 if monic else (rng.randrange(2, p) if p > 2 else 3) + p * rng.randrange(2)
+    return [rng.randrange(-p, 2 * p) for _ in range(n)] + [lead]
+
+
+def test_pow_mod_matches_schoolbook():
+    # p up to the range of representation_criterion, every residue degree
+    # of Phi_q, bases shorter and longer than g, and the zero base
+    rng = random.Random(20240)
+    for p in (2, 3, 101, 1000003, 10**18 + 9):
+        for n in range(1, 19):
+            for monic in (True, False):
+                g = _random_modulus(rng, n, p, monic)
+                bases = ([], [rng.randrange(-p, 2 * p) for _ in range(rng.randrange(1, n + 1))],
+                         [rng.randrange(p) for _ in range(n + 1 + rng.randrange(n + 2))])
+                for f in bases:
+                    for e in (0, 1, 2, p, rng.getrandbits(72)):
+                        assert poly_pow_mod(f, e, g, p) == schoolbook_pow_mod(f, e, g, p), (f, e, g, p)
+
+
+def test_pow_mod_known_values_in_gf49():
+    # GF(49) = GF(7)[x]/(x^2 + 1): x^2 = -1 makes x of order 4, every unit
+    # has a^48 = 1, and Frobenius squared is the identity, a^49 = a
+    g = [1, 0, 1]
+    assert [e for e in range(1, 49) if poly_pow_mod([0, 1], e, g, 7) == [1]] == list(range(4, 49, 4))
+    a = [3, 3, 1]  # longer than g; it is 2 + 3x
+    assert poly_pow_mod(a, 48, g, 7) == [1]
+    assert poly_pow_mod(a, 49, g, 7) == [2, 3]
+
+
+def test_degenerate_modulus_raises_instead_of_hanging():
+    # [1, 7] has leading coefficient 0 mod 7: long division by it never lowers
+    # the degree, so it must be refused like the empty modulus
+    src = str(Path(brauersplit.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from brauersplit.cyclotomic import poly_divmod, poly_mod, poly_pow_mod\n"
+        "calls = (lambda: poly_mod([1, 1], [1, 7], 7), lambda: poly_divmod([1], [3, 0], 5),\n"
+        "         lambda: poly_pow_mod([0, 1], 5, [2, 0, 14], 7), lambda: poly_pow_mod([1], 3, [], 5),\n"
+        "         lambda: poly_pow_mod([0, 1], -1, [1, 1, 1], 5))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except (ZeroDivisionError, ValueError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, timeout=10, check=True
+    )
+    assert proc.stdout.split() == ["ZeroDivisionError"] * 4 + ["ValueError"]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +247,7 @@ def test_factorization_is_complete_and_irreducible():
 
 def _frob(poly, g, p):
     # poly^p mod g
-    from brauersplit.cyclotomic import poly_pow_mod
-
-    return poly_pow_mod(poly, p, g, p)
+    return schoolbook_pow_mod(poly, p, g, p)
 
 
 def test_factor_list_is_sorted():
@@ -208,11 +272,8 @@ def brute_qth_powers(ideal):
     p, q = ideal.p, ideal.q
     g = list(ideal.g)
     powers = set()
-    from brauersplit.cyclotomic import poly_pow_mod
-
     for e in field_elements(ideal):
-        e = [c for c in e]
-        powers.add(tuple(poly_pow_mod(e, q, g, p)))
+        powers.add(tuple(schoolbook_pow_mod(e, q, g, p)))
     return powers
 
 
@@ -267,14 +328,24 @@ def test_character_accepts_cyclotomic_elements():
 
 
 def test_character_inert_case_identity():
-    # rational integers coprime to an inert p have trivial character
-    for q in (3, 5):
-        for p in primes_up_to(60):
-            if p == q or multiplicative_order(p, q) != q - 1:
+    # A rational integer coprime to p lies in F_p.  For f > 1, F_p holds no
+    # nontrivial q-th root of unity, so the character is trivial; for f = 1,
+    # g = x - r and the character is the k with a^((p-1)/q) = r^k in F_p.
+    for q in SUPPORTED_Q:
+        for p in primes_up_to(200):
+            if p == q:
                 continue
             ideal = find_prime_ideal(p, q)
-            for a in range(1, min(p, 25)):
-                assert power_residue_character(a, ideal).is_trivial
+            if ideal.residue_degree > 1:
+                for a in range(1, p):
+                    assert power_residue_character(a, ideal).is_trivial
+                continue
+            r = -ideal.g[0] % p
+            logs = {pow(r, k, p): k for k in range(q)}
+            assert len(logs) == q
+            for a in range(1, p):
+                k = logs[pow(a, (p - 1) // q, p)]
+                assert power_residue_character(a, ideal) == PowerCharValue.root(q, k)
 
 
 # ---------------------------------------------------------------------------
