@@ -1,18 +1,25 @@
 """Exact integer and modular arithmetic primitives.
 
-Everything here is deterministic for inputs below 2**64 (primality uses the
-fixed Miller-Rabin witness set known to be exact in that range; factoring
-uses trial division up to 10**6 followed by Pollard rho).  All functions are
-pure and safe to call from concurrent workers.
+Primality is Miller-Rabin to the thirteen prime bases 2..41, which is exact
+below psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
+pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the twelve bases
+2..37 alone accept psi_12 = 318665857834031151167461 = 399165290221 *
+798330580441.  Factoring uses trial division up to 10**6 followed by Pollard
+rho.  All functions are pure and safe to call from concurrent workers.
+
+Public functions validate their arguments.  The underscored kernels
+(`_valuation`) and `sqrt_mod` trust theirs, so a caller that has already
+validated a prime pays for the check once, not once per call.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24,
-# comfortably covering the supported 64-bit range.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The trial divisors and then the Miller-Rabin bases: exact for all
+# n < psi_13 = 3317044064679887385961981 (about 3.3 * 10**24).  Trial division
+# by the same primes first means a base never equals n.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 10**6
 
@@ -22,7 +29,7 @@ def is_prime(n: int) -> bool:
     n = abs(n)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _SMALL_PRIMES:
         if n == p:
             return True
         if n % p == 0:
@@ -32,7 +39,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -84,12 +91,52 @@ def padic_valuation(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     require_prime(p)
-    n = abs(n)
+    return _valuation(n, p)
+
+
+def _valuation(n: int, p: int) -> int:
+    # padic_valuation without the checks: n != 0 and p prime are trusted
     v = 0
     while n % p == 0:
         n //= p
         v += 1
     return v
+
+
+def sqrt_mod(a: int, p: int) -> int | None:
+    """Some x with x*x == a (mod p), or None if a is not a square mod p.
+
+    p must be prime; it is not checked.  Tonelli-Shanks (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Alg. 1.5.1): one exponentiation
+    when p = 3 (mod 4), otherwise a walk down the 2-power part of p - 1.
+    """
+    a %= p
+    if a < 2 or p == 2:
+        return a
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * t, t odd
+    t = (p - 1) >> s
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c = pow(z, t, p)  # generates the 2-Sylow subgroup
+    x = pow(a, (t + 1) // 2, p)
+    b = pow(a, t, p)  # invariant: x^2 == a*b and b^(2^(m-1)) == 1
+    m = s
+    while b != 1:
+        i, b2 = 0, b
+        while b2 != 1:
+            b2 = b2 * b2 % p
+            i += 1
+        g = pow(c, 1 << (m - i - 1), p)
+        x = x * g % p
+        c = g * g % p
+        b = b * c % p
+        m = i
+    return x
 
 
 def _pollard_rho(n: int) -> int:

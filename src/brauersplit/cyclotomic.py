@@ -72,14 +72,21 @@ def _lead_inverse(g: list[int], p: int) -> int:
 
 def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     inv = _lead_inverse(g, p)
+    if len(f) < len(g):
+        return [], _trim([c % p for c in f])
     f = f[:]
-    q = [0] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and f:
+    q = [0] * (len(f) - len(g) + 1)
+    while len(f) >= len(g):
         c = f[-1] * inv % p
         d = len(f) - len(g)
         q[d] = c
         for i, gi in enumerate(g):
             f[d + i] = (f[d + i] - c * gi) % p
+        _trim(f)
+    if d:
+        # the degree fell past the step that reduces the constant term,
+        # so f[:d] still holds raw coefficients
+        f[:d] = [c % p for c in f[:d]]
         _trim(f)
     return _trim(q), f
 

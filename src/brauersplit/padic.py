@@ -6,6 +6,13 @@ finite places come from the classical closed formulas for the local symbol;
 `qp_solvable_oracle` decides the same question by searching residues mod p^k
 directly and is kept free of those formulas so the two can check each other.
 `rational_point_search` looks for an actual integer point on the conic.
+
+Arguments are validated once, at the public entry points: a `Place` checks its
+prime when it is built, and `hilbert_symbol` checks that a and b are nonzero
+and then calls `_local_symbol`, which trusts its place and reads valuations
+with the unchecked `arith._valuation`.  A caller that already knows its
+places, such as the sweep in `quaternion`, calls `_local_symbol` directly
+(p = 0 for the infinite place) and so pays no primality test per symbol.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import padic_valuation, require_prime, odd_prime_divisors
+from .arith import _valuation, odd_prime_divisors, padic_valuation, require_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -71,17 +78,22 @@ def _omega(u: int) -> int:
 
 
 def hilbert_symbol(a: int, b: int, place: Place) -> int:
-    """Hilbert symbol (a, b / place) in {-1, +1} for nonzero integers a, b.
+    """Hilbert symbol (a, b / place) in {-1, +1} for nonzero integers a, b."""
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    return _local_symbol(a, b, place.p)
+
+
+def _local_symbol(a: int, b: int, p: int) -> int:
+    """(a, b / p) for nonzero a, b and p prime or 0 (the infinite place),
+    none of it checked.
 
     With a = p^va*u, b = p^vb*v and u, v units at p, it is (Serre, *A Course
     in Arithmetic*, Ch. III, Thm. 1) (-1)^(va*vb*(p-1)/2) (u/p)^vb (v/p)^va at
     odd p and (-1)^(eps(u)eps(v) + va*omega(v) + vb*omega(u)) at p = 2."""
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
-    if place.is_infinite:
+    if p == 0:
         return -1 if (a < 0 and b < 0) else 1
-    p = place.p
-    va, vb = padic_valuation(a, p), padic_valuation(b, p)
+    va, vb = _valuation(a, p), _valuation(b, p)
     u, v = a // p**va, b // p**vb
     if p == 2:
         exponent = _eps(u) * _eps(v) + va * _omega(v) + vb * _omega(u)
@@ -104,7 +116,7 @@ def hilbert_product(a: int, b: int) -> dict[Place, int]:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     places = [Place.infinite(), Place.finite(2)]
     places += [Place.finite(p) for p in odd_prime_divisors(a * b)]
-    return {v: hilbert_symbol(a, b, v) for v in places}
+    return {v: _local_symbol(a, b, v.p) for v in places}
 
 
 def lifting_threshold(a: int, b: int, p: int) -> int:

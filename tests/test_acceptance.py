@@ -46,6 +46,7 @@ from brauersplit.quaternion import (
     verify_equivalence,
 )
 from poly_reference import schoolbook_pow_mod
+from represent_reference import scan_represent
 
 BOUND = 5000
 ODD_PRIMES_5000 = [q for q in primes_up_to(BOUND) if q != 2]
@@ -78,8 +79,14 @@ def _is_2x2_plus_7y2(q: int) -> bool:
 
 
 def test_criterion_02_representation_iff_congruence_all_n():
-    rep = {n: {q: represent(n, q) is not None for q in ODD_PRIMES_5000} for n in SUPPORTED_N}
-    # 1. the exact predicate matches the search for every n
+    found = {n: {q: represent(n, q) for q in ODD_PRIMES_5000} for n in SUPPORTED_N}
+    rep = {n: {q: r is not None for q, r in found[n].items()} for n in SUPPORTED_N}
+    # 0. Cornacchia matches the brute-force scan over y for every n
+    scan_bad = {
+        n: [q for q in ODD_PRIMES_5000 if found[n][q] != scan_represent(n, q)]
+        for n in SUPPORTED_N
+    }
+    # 1. the exact predicate matches the representation for every n
     exact_bad = {
         n: [q for q in ODD_PRIMES_5000 if rep[n][q] != representation_criterion(n, q)]
         for n in SUPPORTED_N
@@ -102,12 +109,16 @@ def test_criterion_02_representation_iff_congruence_all_n():
     second_in_classes = [
         q for q in ODD_PRIMES_5000 if second_form[q] and congruence_criterion(14, q)
     ]
+    scan_bad = {n: bad[:6] for n, bad in scan_bad.items() if bad}
     exact_bad = {n: bad[:6] for n, bad in exact_bad.items() if bad}
     printed_bad = {n: bad[:6] for n, bad in printed_bad.items() if bad}
-    ok = not exact_bad and not printed_bad and not genus_bad and gap == second_in_classes
-    _report(2, ok, f"representation <-> exact predicate for all eleven n, <-> printed classes "
-                   f"for the ten idoneal n, n = 14 classes = genus, up to {BOUND}; "
+    ok = (not scan_bad and not exact_bad and not printed_bad and not genus_bad
+          and gap == second_in_classes)
+    _report(2, ok, f"representation = scan over y and <-> exact predicate for all eleven n, "
+                   f"<-> printed classes for the ten idoneal n, n = 14 classes = genus, "
+                   f"up to {BOUND}; "
                    f"{len(gap)} primes 2x^2+7y^2 in the n = 14 classes")
+    assert not scan_bad, f"represent disagrees with the scan over y at {scan_bad}"
     assert not exact_bad, f"representation_criterion disagrees with represent at {exact_bad}"
     assert not printed_bad, f"printed classes are not exact for idoneal n at {printed_bad}"
     assert not genus_bad, (

@@ -1,3 +1,4 @@
+import random
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from brauersplit.arith import (
     odd_prime_divisors,
     padic_valuation,
     primes_up_to,
+    sqrt_mod,
 )
 
 ODD_PRIMES_SMALL = [p for p in primes_up_to(200) if p != 2]
@@ -124,14 +126,48 @@ def test_is_prime_basics():
 
 
 def test_is_prime_against_sieve():
-    primes = set(primes_up_to(2000))
-    for n in range(2000):
-        assert is_prime(n) == (n in primes)
+    primes = set(primes_up_to(10**6))
+    assert [n for n in range(10**6) if is_prime(n) != (n in primes)] == []
+
+
+def test_is_prime_rejects_the_twelve_base_pseudoprime():
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # base 2..37; base 41 exposes it (Sorenson & Webster 2017)
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(41)
 
 
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 + 11))
+
+
+def test_sqrt_mod_against_table_of_squares():
+    for p in primes_up_to(2000):
+        roots = {}
+        for x in range(p):
+            roots.setdefault(x * x % p, x)
+        for a in range(p):
+            r = sqrt_mod(a, p)
+            if a in roots:
+                assert r is not None and r * r % p == a
+            else:
+                assert r is None
+        assert sqrt_mod(-1 - p, p) == sqrt_mod(p - 1, p)
+
+
+def test_sqrt_mod_with_deep_two_power():
+    # p - 1 = 7 * 2^20: Tonelli-Shanks walks down twenty 2-power levels
+    p = 7 * 2**20 + 1
+    assert is_prime(p)
+    rng = random.Random(7)
+    nonresidue = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    for x in [1, 2, p - 1, pow(3, 7, p)] + [rng.randrange(1, p) for _ in range(500)]:
+        a = x * x % p
+        r = sqrt_mod(a, p)
+        assert r in (x, p - x)
+        assert sqrt_mod(a * nonresidue, p) is None
 
 
 def test_odd_prime_divisors_examples():

@@ -105,6 +105,34 @@ def test_represent(capsys):
     assert rec["witness"] is None
 
 
+def run_cli_subprocess(*argv):
+    src = str(Path(brauersplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauersplit.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return records(proc.stdout)[0]
+
+
+def test_represent_near_10_18_is_bounded():
+    rec = run_cli_subprocess("represent", "1", str(10**18 + 9))
+    assert rec["outputs"] == {"exists": True}
+    assert rec["witness"] == {"x": 10**9, "y": 3}
+    rec = run_cli_subprocess("represent", "1", str(10**18 + 3))
+    assert rec["outputs"] == {"exists": False}
+
+
+def test_quat_split_at_the_twelve_base_pseudoprime():
+    # psi_12 passes Miller-Rabin to the bases 2..37; the symbol of (43, psi_12)
+    # is -1 at both of its prime factors, so the algebra is a division algebra
+    rec = run_cli_subprocess("quat-split", "43", "318665857834031151167461")
+    assert rec["outputs"]["split"] is False
+    assert rec["outputs"]["symbols"]["399165290221"] == -1
+    assert rec["outputs"]["symbols"]["798330580441"] == -1
+
+
 def test_verify_single_n(capsys):
     code, out, _ = run_cli(capsys, "verify", "3", "--bound", "500")
     assert code == 0

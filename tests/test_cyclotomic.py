@@ -131,6 +131,17 @@ def test_pow_mod_known_values_in_gf49():
     assert poly_pow_mod(a, 49, g, 7) == [2, 3]
 
 
+def test_short_dividend_is_reduced_and_trimmed():
+    # deg f < deg g: no division step runs, yet the remainder is still a
+    # canonical residue, so equal classes compare equal
+    assert poly_mod([5, 3], [1, 1, 1], 3) == [2]
+    assert poly_mod([5, 0], [1, 1, 1], 3) == [2]
+    assert poly_divmod([3, 6], [1, 1, 1], 3) == ([], [])
+    # x^3 + x^2 + 5 = x*(x^2 + x + 1) - x + 5: the degree drops by two in one
+    # step, past the step that would have reduced the constant 5
+    assert poly_divmod([5, 0, 1, 1], [1, 1, 1], 3) == ([0, 1], [2, 2])
+
+
 def test_degenerate_modulus_raises_instead_of_hanging():
     # [1, 7] has leading coefficient 0 mod 7: long division by it never lowers
     # the degree, so it must be refused like the empty modulus

@@ -1,5 +1,4 @@
 import time
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +15,10 @@ from brauersplit.quaternion import (
     represent,
     representation_criterion,
     split_over_odd_degree_field,
+    _equivalence_rows,
     verify_equivalence,
 )
+from represent_reference import scan_represent
 
 ODD_PRIMES = [q for q in primes_up_to(1000) if q != 2]
 
@@ -124,22 +125,35 @@ def test_represent_examples():
 
 
 def test_represent_picks_smallest_y():
-    # 193 = 49 + 16*9 = 1^2 + ... enumerate and compare against brute force
-    for n in SUPPORTED_N:
-        for q in ODD_PRIMES[:60]:
-            rep = represent(n, q)
-            brute = [
-                (y, x)
-                for y in range(isqrt(q // n) + 1)
-                for x in (isqrt(q - n * y * y),)
-                if x * x + n * y * y == q
-            ]
-            if brute:
-                y, x = min(brute)
-                assert rep == Representation(x, y)
-                assert rep.x**2 + n * rep.y**2 == q
-            else:
-                assert rep is None
+    # for n = 1 both (x, y) and (y, x) solve; the contract is the smaller y
+    assert represent(1, 5) == Representation(2, 1)
+    assert represent(1, 13) == Representation(3, 2)
+    for q in ODD_PRIMES:
+        rep = represent(1, q)
+        assert (rep is not None) == (q % 4 == 1)
+        if rep is not None:
+            assert rep.y < rep.x and rep.x**2 + rep.y**2 == q
+
+
+def test_represent_matches_scan():
+    # q = 2, q = n, q | n and n > q all fall inside this box
+    primes = primes_up_to(3000)
+    bad = [
+        (n, q)
+        for n in range(1, 121)
+        for q in primes
+        if represent(n, q) != scan_represent(n, q)
+    ]
+    assert bad == []
+    assert represent(1, 2) == Representation(1, 1)
+    assert represent(2, 2) == Representation(0, 1)
+    assert represent(6, 3) is None and represent(3, 2) is None
+
+
+def test_represent_rejects_bad_input():
+    for n, q in ((0, 5), (-3, 7), (3, 9), (3, 1)):
+        with pytest.raises(ValueError):
+            represent(n, q)
 
 
 def test_split_over_odd_degree_field():
@@ -202,6 +216,15 @@ def test_verify_equivalence_rejects_bad_input():
         verify_equivalence(4, 100)
     with pytest.raises(ValueError):
         verify_equivalence(3, 2)
+
+
+def test_sweep_rows_match_the_public_decisions():
+    # the rows read symbols at places found once per n and call Cornacchia
+    # unchecked; they must agree with the checked public path
+    for n in SUPPORTED_N:
+        for q, split, _, rep in _equivalence_rows(n, ODD_PRIMES):
+            assert split == is_split_quaternion_Q(QuaternionAlgebra(-n, q)), (n, q)
+            assert rep == (represent(n, q) is not None), (n, q)
 
 
 def test_verify_equivalence_jobs_deterministic():
