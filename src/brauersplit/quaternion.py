@@ -18,7 +18,7 @@ solve for the representation with `_cornacchia`, validating nothing per row.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import isqrt
 
 from .arith import legendre_symbol, odd_prime_divisors, primes_up_to, require_prime, sqrt_mod
@@ -214,17 +214,8 @@ class EquivalenceReport:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "bound": self.bound,
-            "primes_checked": self.primes_checked,
-            "split_count": self.split_count,
-            "congruence_count": self.congruence_count,
-            "representation_count": self.representation_count,
+            **asdict(self),
             "disagreements": list(self.disagreements),
-            "representation_iff_congruence": self.representation_iff_congruence,
-            "congruence_implies_split": self.congruence_implies_split,
-            "split_implies_congruence": self.split_implies_congruence,
-            "converse_required": self.converse_required,
             "converse_failures": list(self.converse_failures),
             "mandated_ok": self.mandated_ok,
         }
@@ -246,28 +237,14 @@ def _equivalence_rows(n: int, qs: list[int]) -> list[tuple[int, bool, bool, bool
     ]
 
 
-def verify_equivalence(n: int, bound: int, jobs: int = 1) -> EquivalenceReport:
+def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
     """Check split / congruence / representation against each other for every
-    odd prime q <= bound.
-
-    The merged report does not depend on how the prime range is partitioned
-    across workers.
-    """
+    odd prime q <= bound."""
     if n not in CRITERIA:
         raise ValueError(f"n={n} unsupported; expected one of {SUPPORTED_N}")
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    qs = [q for q in primes_up_to(bound) if q != 2]
-    if jobs > 1 and len(qs) > 1:
-        # Imported here so that loading the package does not load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [qs[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_equivalence_rows, [n] * len(chunks), chunks)
-        rows = sorted(row for part in parts for row in part)
-    else:
-        rows = _equivalence_rows(n, qs)
+    rows = _equivalence_rows(n, [q for q in primes_up_to(bound) if q != 2])
 
     disagreements = tuple(q for q, s, c, r in rows if not (s == c == r))
     repr_iff_cong = all(r == c for _, _, c, r in rows)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -55,9 +57,20 @@ def test_hilbert_at_one_place_does_not_factor():
 
 
 def test_hilbert_rejects_bad_place(capsys):
-    code, _, err = run_cli(capsys, "hilbert", "3", "5", "9")
-    assert code == 2
-    assert "error" in err
+    # "0" must not reach Place(0), which is the infinite place
+    for place in ("9", "0", "1", "-7", "x"):
+        code, out, err = run_cli(capsys, "hilbert", "3", "5", place)
+        assert code == 2, place
+        assert out == "" and err.startswith("error:"), place
+    for place, value in (("inf", 1), ("2", 1), ("7", -1)):
+        code, out, _ = run_cli(capsys, "hilbert", "3", "-7", place)
+        assert code == 0
+        assert records(out) == [{
+            "command": "hilbert",
+            "inputs": {"alpha": 3, "beta": -7, "place": place},
+            "outputs": {"value": value},
+            "witness": None,
+        }]
 
 
 def test_quat_split_with_witness(capsys):
@@ -236,11 +249,42 @@ def test_output_is_deterministic(capsys):
 
 def test_record_roundtrip():
     rec = ReportRecord("kummer", {"alpha": 2}, {"splitting": "inert"}, None)
-    assert ReportRecord.from_json(rec.to_json()) == rec
+    assert json.loads(rec.to_json()) == {
+        "command": "kummer", "inputs": {"alpha": 2},
+        "outputs": {"splitting": "inert"}, "witness": None,
+    }
     rec = ReportRecord("quat-split", {"alpha": -3}, {"split": True}, {"x": 1, "y": 1, "z": 0})
-    assert ReportRecord.from_json(rec.to_json()) == rec
+    assert json.loads(rec.to_json()) == {
+        "command": "quat-split", "inputs": {"alpha": -3},
+        "outputs": {"split": True}, "witness": {"x": 1, "y": 1, "z": 0},
+    }
 
 
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def readme_commands(section):
+    """argv lists of the `brauersplit ...` lines in README's sh block under
+    the heading `## {section}`, comments stripped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    body = re.search(rf"^## {section}\n(.*?)(?=^## )", readme, re.M | re.S).group(1)
+    block = re.search(r"^```sh\n(.*?)^```", body, re.M | re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("brauersplit ")
+    ]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every documented invocation must parse and finish; verify all exits 1
+    # on n = 14 by design.  Run in tmp_path because --out writes a file.
+    monkeypatch.chdir(tmp_path)
+    for section in ("CLI", "Experiments"):
+        commands = readme_commands(section)
+        assert commands, section
+        for argv in commands:
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (0, 1), (argv, err)

@@ -227,12 +227,6 @@ def test_sweep_rows_match_the_public_decisions():
             assert rep == (represent(n, q) is not None), (n, q)
 
 
-def test_verify_equivalence_jobs_deterministic():
-    seq = verify_equivalence(5, 400)
-    par = verify_equivalence(5, 400, jobs=3)
-    assert seq == par
-
-
 @settings(max_examples=30)
 @given(st.sampled_from(SUPPORTED_N), st.sampled_from(ODD_PRIMES))
 def test_congruence_implies_split(n, q):
