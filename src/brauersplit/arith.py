@@ -4,8 +4,9 @@ Primality is Miller-Rabin to the thirteen prime bases 2..41, which is exact
 below psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
 pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the twelve bases
 2..37 alone accept psi_12 = 318665857834031151167461 = 399165290221 *
-798330580441.  Factoring uses trial division up to 10**6 followed by Pollard
-rho.  All functions are pure and safe to call from concurrent workers.
+798330580441.  Factoring strips the thirteen small primes 2..41 and then
+splits every cofactor by Pollard rho.  All functions are pure and safe to
+call from concurrent workers.
 
 Public functions validate their arguments.  The underscored kernels
 (`_valuation`) and `sqrt_mod` trust theirs, so a caller that has already
@@ -20,8 +21,6 @@ from math import gcd, isqrt
 # n < psi_13 = 3317044064679887385961981 (about 3.3 * 10**24).  Trial division
 # by the same primes first means a base never equals n.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-_TRIAL_LIMIT = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -140,10 +139,9 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 def _pollard_rho(n: int) -> int:
-    # n odd composite, no factor below _TRIAL_LIMIT; Brent's cycle variant
-    # with deterministic parameter sweep.
-    if is_prime(n):
-        return n
+    # A nontrivial factor of the composite n, which has no factor 2..41.
+    # Pollard rho (BIT 15, 1975) on x -> x^2 + c, with Floyd's cycle
+    # detection and a deterministic sweep over c.
     for c in range(1, 100):
         x = y = 2
         d = 1
@@ -163,21 +161,13 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 7
-    while d * d <= n and d < _TRIAL_LIMIT:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

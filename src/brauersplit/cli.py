@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 from .cyclotomic import (
-    RamifiedPrimeError,
     cyclotomic_decomposition,
     find_prime_ideal,
     kummer_splitting,
@@ -302,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     log.debug("dispatching %s with %s", args.command, vars(args))
     try:
         return args.func(args)
-    except (ValueError, RamifiedPrimeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

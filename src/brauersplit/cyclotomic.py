@@ -6,15 +6,14 @@ polynomial Phi_q = 1 + x + ... + x^(q-1).  Polynomials over GF(p) are plain
 coefficient lists, constant term first, trimmed, as in the usual dense
 representation.
 
-Powers in GF(p)[x]/(g) (`poly_pow_mod`) serve the character, the
-Cantor-Zassenhaus splitting and the root test of the quaternion module.  A
-base that reduces to a constant c mod g is raised by pow(c, e, p); this is
-every rational integer alpha, and every residue field of degree 1.  Other
-bases are raised by square-and-multiply on Kronecker-packed integers (one
-coefficient per fixed-width bit slot), so each product is a single bignum
-multiply; reduction mod g folds the high slots back through a table of
-x^j mod g and then takes one % p per slot.  A modulus whose leading
-coefficient vanishes mod p raises ZeroDivisionError.
+Powers in GF(p)[x]/(g) (`poly_pow_mod`) serve the character and the
+Cantor-Zassenhaus splitting.  A base that reduces to a constant c mod g is
+raised by pow(c, e, p); this is every rational integer alpha, and every
+residue field of degree 1.  Other bases are raised by square-and-multiply on
+Kronecker-packed integers (one coefficient per fixed-width bit slot), so
+each product is a single bignum multiply; reduction mod g folds the high
+slots back through a table of x^j mod g and then takes one % p per slot.  A
+modulus whose leading coefficient vanishes mod p raises ZeroDivisionError.
 
 A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
 irreducible factor of Phi_q mod p; the residue field GF(p)[x]/(g) is where
@@ -116,8 +115,7 @@ def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
     """
     if e < 0:
         raise ValueError("negative exponent")
-    inv = _lead_inverse(g, p)
-    f = poly_mod(_trim([c % p for c in f]), g, p)
+    f = poly_mod(f, g, p)
     if len(f) <= 1:
         c = pow(f[0] if f else 0, e, p)
         return [c] if c else []
@@ -135,6 +133,7 @@ def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
 
     # (offset of slot j, packed x^j mod g) for j = n..2n-2, from
     # x^n = sum(xn[i] x^i) and x^(j+1) = x * x^j folded the same way
+    inv = _lead_inverse(g, p)
     xn = [-c * inv % p for c in g[:-1]]
     fold = []
     t = xn

@@ -233,16 +233,11 @@ def rational_point_search(a: int, b: int, height: int) -> ConicPoint | None:
     for m in range(1, height + 1):
         for x in range(m + 1):
             for y in range(m + 1):
-                if max(x, y) < m:
-                    # z = m is forced, otherwise the triple was seen earlier
-                    t = a * x * x + b * y * y
-                    if t == m * m and gcd(gcd(x, y), m) == 1:
-                        return ConicPoint(x, y, m)
-                    continue
+                # the only z is isqrt(t); a triple with max < m was seen earlier
                 t = a * x * x + b * y * y
                 if t < 0:
                     continue
                 z = isqrt(t)
-                if z * z == t and z <= m and gcd(gcd(x, y), z) == 1:
+                if z * z == t and max(x, y, z) == m and gcd(gcd(x, y), z) == 1:
                     return ConicPoint(x, y, z)
     return None

@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 from math import isqrt
 
 from .arith import legendre_symbol, odd_prime_divisors, primes_up_to, require_prime, sqrt_mod
-from .cyclotomic import _trim, poly_gcd, poly_pow_mod
 from .padic import _local_symbol, hilbert_product
 
 log = logging.getLogger(__name__)
@@ -114,33 +113,23 @@ def congruence_criterion(n: int, q: int) -> bool:
     return crit.admits(q)
 
 
-# (x^2 + 1)^2 - 8, constant term first: Cox's quartic for n = 14
-_N14_QUARTIC = (-7, 0, 2, 0, 1)
-
-
-def _has_root_mod(f: tuple[int, ...], q: int) -> bool:
-    """True iff the monic f has a root in F_q, i.e. gcd(f, x^q - x) != 1.
-
-    x^q is taken mod f by repeated squaring: O(log q) polynomial operations.
-    """
-    f = [c % q for c in f]
-    r = poly_pow_mod([0, 1], q, f, q) + [0, 0]
-    r[1] = (r[1] - 1) % q
-    return len(poly_gcd(f, _trim(r), q)) > 1
-
-
 def representation_criterion(n: int, q: int) -> bool:
     """True iff the odd prime q is x^2 + n*y^2, decided without a search.
 
     For the ten idoneal n this is `congruence_criterion`.  For n = 14,
     q = x^2 + 14*y^2 iff (-14/q) = 1 and (x^2 + 1)^2 = 8 has a solution
     mod q (Cox, *Primes of the Form x^2 + ny^2*, Section 5, the n = 14
-    example).
+    example).  The quartic's root is decided by two square roots mod q:
+    8 = s^2, and s - 1 is a square.  Either root s serves, because
+    (s - 1)(-s - 1) = -7 is a square whenever -14 and 2 are.
     """
     if n != 14:
         return congruence_criterion(n, q)
     # legendre_symbol rejects a q that is not an odd prime
-    return legendre_symbol(-14, q) == 1 and _has_root_mod(_N14_QUARTIC, q)
+    if legendre_symbol(-14, q) != 1:
+        return False
+    s = sqrt_mod(8, q)
+    return s is not None and sqrt_mod(s - 1, q) is not None
 
 
 def represent(n: int, q: int) -> Representation | None:

@@ -1,5 +1,5 @@
 import random
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, strategies as st
@@ -189,3 +189,30 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == abs(n)
+
+
+def test_factorize_rho_inputs_against_sieve():
+    # after the small primes 2..41 every cofactor goes to Pollard rho: the
+    # composites with no factor below 43, and the powers of larger primes
+    bound = 2 * 10**5
+    spf = list(range(bound + 1))
+    for i in range(2, isqrt(bound) + 1):
+        if spf[i] == i:
+            for j in range(i * i, bound + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+
+    def sieve_factors(n):
+        out = {}
+        while n > 1:
+            out[spf[n]] = out.get(spf[n], 0) + 1
+            n //= spf[n]
+        return out
+
+    composites = [n for n in range(2, bound + 1) if 41 < spf[n] < n]
+    assert len(composites) == 11087
+    assert [n for n in composites if factorize(n) != sieve_factors(n)] == []
+    for p in (43, 47, 1009, 65537, 999983, 1000003):
+        for k in range(1, 13):
+            assert factorize(p**k) == {p: k}
+            assert factorize(-(p**k) * 41) == {41: 1, p: k}

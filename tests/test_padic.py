@@ -279,6 +279,9 @@ def test_point_search_minimality():
 
     for a, b in [(-3, 3), (1, 1), (-3, 7), (2, 7), (-5, 11), (6, 10), (-14, 7)]:
         assert rational_point_search(a, b, 15) == brute(a, b, 15)
+    box = [(a, b) for a in range(-12, 13) for b in range(-12, 13) if a and b]
+    assert len(box) == 576
+    assert [(a, b) for a, b in box if rational_point_search(a, b, 10) != brute(a, b, 10)] == []
 
 
 def test_witness_found_when_everywhere_solvable():

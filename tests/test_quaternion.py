@@ -109,6 +109,21 @@ def test_representation_criterion_n14_near_10_18():
     assert representation_criterion(14, principal) is True
     assert representation_criterion(14, other) is False
     assert time.perf_counter() - t0 < 1.0
+    # q - 1 divisible by 2^20 .. 2^27, where Tonelli-Shanks walks longest;
+    # the last two sit in the printed classes but are not x^2 + 14*y^2
+    deep = {
+        7340033: True,
+        167772161: True,
+        469762049: True,
+        998244353: True,
+        2013265921: True,
+        104857601: False,
+        3221225473: False,
+    }
+    for q, expected in deep.items():
+        assert (q - 1) % 2**20 == 0 and congruence_criterion(14, q)
+        assert representation_criterion(14, q) is expected
+        assert (represent(14, q) is not None) is expected
 
 
 def test_representation_criterion_rejects_bad_input():
