@@ -6,14 +6,21 @@ polynomial Phi_q = 1 + x + ... + x^(q-1).  Polynomials over GF(p) are plain
 coefficient lists, constant term first, trimmed, as in the usual dense
 representation.
 
-Powers in GF(p)[x]/(g) (`poly_pow_mod`) serve the character and the
-Cantor-Zassenhaus splitting.  A base that reduces to a constant c mod g is
-raised by pow(c, e, p); this is every rational integer alpha, and every
-residue field of degree 1.  Other bases are raised by square-and-multiply on
-Kronecker-packed integers (one coefficient per fixed-width bit slot), so
-each product is a single bignum multiply; reduction mod g folds the high
-slots back through a table of x^j mod g and then takes one % p per slot.  A
-modulus whose leading coefficient vanishes mod p raises ZeroDivisionError.
+Powers in GF(p)[x]/(g) share one packed ring, `_PackedRing`: a polynomial
+is one int with a fixed-width bit slot per coefficient, so a product is a
+single bignum multiply; reduction mod g folds the high slots back through a
+table of x^j mod g and then takes one % p per slot.  `poly_pow_mod` is the
+general power: pow(c, e, p) for a base that is a constant c mod g (every
+rational integer alpha, every residue field of degree 1), square-and-multiply
+otherwise.  The character and Cantor-Zassenhaus raise u to (p^d - 1)/m, with
+m = q or 2, modulo some h | Phi_q.  There x^q = 1, so Frobenius
+sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction, and
+`_frobenius_power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / m),
+r_(j+1) = p r_j mod m from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since
+u^floor(p r / m) = B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that
+is one log2(p)-bit power and fewer than m + d further products, where plain
+square-and-multiply takes d log2(p).  A modulus whose leading coefficient
+vanishes mod p raises ZeroDivisionError.
 
 A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
 irreducible factor of Phi_q mod p; the residue field GF(p)[x]/(g) is where
@@ -66,7 +73,7 @@ def _lead_inverse(g: list[int], p: int) -> int:
     # division by it could never lower the degree
     if not g or g[-1] % p == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    return pow(g[-1], p - 2, p)
+    return pow(g[-1], -1, p)
 
 
 def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -103,59 +110,97 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     return f
 
 
-def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
-    """f^e mod g over GF(p), for e >= 0.
+class _PackedRing:
+    """GF(p)[x]/(g), n = deg g >= 1, on Kronecker-packed ints (see the module
+    docstring); xs[j] is the packed x^j mod g for j < max(2n - 1, q)."""
 
-    A base that reduces to a constant c gives pow(c, e, p) at once.
-    Otherwise square-and-multiply runs on Kronecker-packed integers: each
-    polynomial is one int with a w-bit slot per coefficient, so a product
-    is one bignum multiply.  Reduction adds the high slots times the packed
-    x^j mod g, j = n..2n-2, then takes one % p per slot.  w holds every
-    unreduced slot, which stays below n^2 (p-1)^3 for n = deg g.
-    """
+    def __init__(self, g: list[int], p: int, q: int = 0):
+        n = len(g) - 1
+        self.p, self.q = p, q
+        # w holds every unreduced slot, which stays below n^2 (p-1)^3
+        self.w = w = (n * n * (p - 1) ** 3).bit_length()
+        self.slot = (1 << w) - 1
+        self.lomask = (1 << (n * w)) - 1
+        self.low = range(0, n * w, w)
+        # x^n = -(g_0 + ... + g_(n-1) x^(n-1)) / g_n; x^(j+1) = x * x^j
+        # with its slot n folded back through x^n
+        inv = _lead_inverse(g, p)
+        xn = self.pack([-c * inv % p for c in g[:-1]])
+        self.xs = xs = [1 << s for s in self.low]
+        while len(xs) < max(2 * n - 1, q):
+            t = xs[-1] << w
+            xs.append(self.reduce((t & self.lomask) + (t >> n * w) * xn))
+        self.fold = list(zip(range(n * w, (2 * n - 1) * w, w), xs[n:]))
+
+    def pack(self, coeffs) -> int:
+        return sum(c << s for c, s in zip(coeffs, self.low))
+
+    def unpack(self, x: int) -> list[int]:
+        return _trim([x >> s & self.slot for s in self.low])
+
+    def reduce(self, r: int) -> int:
+        # one % p per slot of an unreduced polynomial of degree < n
+        w, slot, p = self.w, self.slot, self.p
+        out = 0
+        for s in reversed(self.low):
+            out = out << w | (r >> s & slot) % p
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        x = a * b
+        r = x & self.lomask
+        for s, xj in self.fold:
+            r += (x >> s & self.slot) * xj
+        return self.reduce(r)
+
+    def pow(self, a: int, e: int) -> int:
+        if not e:
+            return 1
+        acc = a
+        for bit in bin(e)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
+        return acc
+
+    def frobenius(self, v: int) -> int:
+        # v^p = v(x^(p mod q)), a linear map: x^q = 1 modulo g | Phi_q
+        q, xs, s = self.q, self.xs, self.p % self.q
+        return self.reduce(sum(c * xs[i * s % q] for i, c in enumerate(self.unpack(v)) if c))
+
+
+def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """f^e mod g over GF(p), for e >= 0."""
     if e < 0:
         raise ValueError("negative exponent")
     f = poly_mod(f, g, p)
     if len(f) <= 1:
         c = pow(f[0] if f else 0, e, p)
         return [c] if c else []
-    if e == 0:
-        return [1]
-    n = len(g) - 1
-    w = (n * n * (p - 1) ** 3).bit_length()
-    slot = (1 << w) - 1
-    lomask = (1 << (n * w)) - 1
-    low = range(0, n * w, w)
-    top_down = low[::-1]
+    ring = _PackedRing(g, p)
+    return ring.unpack(ring.pow(ring.pack(f), e))
 
-    def pack(coeffs):
-        return sum(c << s for c, s in zip(coeffs, low))
 
-    # (offset of slot j, packed x^j mod g) for j = n..2n-2, from
-    # x^n = sum(xn[i] x^i) and x^(j+1) = x * x^j folded the same way
-    inv = _lead_inverse(g, p)
-    xn = [-c * inv % p for c in g[:-1]]
-    fold = []
-    t = xn
-    for s in range(n * w, (2 * n - 1) * w, w):
-        fold.append((s, pack(t)))
-        t = [(a + t[-1] * b) % p for a, b in zip([0] + t[:-1], xn)]
-
-    def mod_g(x):
-        r = x & lomask
-        for s, xj in fold:
-            r += (x >> s & slot) * xj
-        out = 0
-        for s in top_down:
-            out = out << w | (r >> s & slot) % p
-        return out
-
-    base = acc = pack(f)
-    for bit in bin(e)[3:]:
-        acc = mod_g(acc * acc)
-        if bit == "1":
-            acc = mod_g(acc * base)
-    return _trim([acc >> s & slot for s in low])
+def _frobenius_power(u: list[int], m: int, d: int, h: list[int], q: int, p: int) -> list[int]:
+    """u^((p^d - 1)/m) mod h over GF(p), for h | Phi_q mod p and m | p^d - 1,
+    by the Frobenius recurrence of the module docstring."""
+    u = poly_mod(u, h, p)
+    if len(u) <= 1:
+        c = pow(u[0] if u else 0, (p**d - 1) // m, p)
+        return [c] if c else []
+    ring = _PackedRing(h, p, q)
+    a = ring.pack(u)
+    rs = [pow(p, j, m) for j in range(d)]
+    # F[r] = u^floor(p r / m): F[r-1] * F[1], times u when floor(r (p mod m) / m) steps
+    b = ring.pow(a, p // m)
+    ab, pm = ring.mul(a, b), p % m
+    F = [1, b]
+    for r in range(2, max(rs) + 1):
+        F.append(ring.mul(F[-1], ab if r * pm // m > (r - 1) * pm // m else b))
+    acc = b
+    for r in rs[1:]:
+        acc = ring.mul(ring.frobenius(acc), F[r])
+    return ring.unpack(acc)
 
 
 def cyclotomic_polynomial(q: int) -> list[int]:
@@ -174,31 +219,28 @@ def _poly_from_index(n: int, p: int) -> list[int]:
     return digits
 
 
-def _split_equal_degree(h: list[int], d: int, p: int) -> list[list[int]]:
-    # h is squarefree with all irreducible factors of degree d.
+def _split_equal_degree(h: list[int], d: int, p: int, q: int) -> list[list[int]]:
+    # h | Phi_q mod p is squarefree with all irreducible factors of degree d.
     # Cantor-Zassenhaus, derandomized: trial elements are enumerated in a
     # fixed order, so the factor list is reproducible.  Some trial always
     # separates two factors (choose it by CRT), hence termination.
     if len(h) - 1 == d:
         return [h]
-    e = (p**d - 1) // 2
     for n in itertools.count(p):  # skip constants, they never separate
         u = poly_mod(_poly_from_index(n, p), h, p)
         if p == 2:
             # trace map of GF(2^d) over GF(2), evaluated factorwise
-            t: list[int] = []
-            v = u
-            for _ in range(d):
-                t = _trim([(x + y) % p for x, y in itertools.zip_longest(t, v, fillvalue=0)])
-                v = poly_mod(poly_mul(v, v, p), h, p)
+            ring = _PackedRing(h, p, q)
+            vs = itertools.accumulate(range(d - 1), lambda v, _: ring.frobenius(v), initial=ring.pack(u))
+            t = ring.unpack(ring.reduce(sum(vs)))
         else:
-            t = poly_pow_mod(u, e, h, p)
+            t = _frobenius_power(u, 2, d, h, q, p)
             t = _trim([(t[0] - 1) % p] + t[1:]) if t else [p - 1]
         w = poly_gcd(h, t, p)
         if 0 < len(w) - 1 < len(h) - 1:
             break
     rest = poly_divmod(h, w, p)[0]
-    return _split_equal_degree(w, d, p) + _split_equal_degree(rest, d, p)
+    return _split_equal_degree(w, d, p, q) + _split_equal_degree(rest, d, p, q)
 
 
 @lru_cache(maxsize=None)
@@ -212,9 +254,8 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     require_prime(p)
     if p == q:
         raise RamifiedPrimeError(f"p = q = {p} is ramified in Z[zeta_{q}]")
-    phi = [c % p for c in cyclotomic_polynomial(q)]
     f = multiplicative_order(p, q)
-    factors = _split_equal_degree(_trim(phi), f, p)
+    factors = _split_equal_degree(cyclotomic_polynomial(q), f, p, q)
     return tuple(sorted(tuple(g) for g in factors))
 
 
@@ -386,9 +427,9 @@ def _residue_image(alpha, ideal: PrimeIdealRep) -> list[int]:
     if isinstance(alpha, CyclotomicInt):
         if alpha.q != ideal.q:
             raise ValueError(f"element lives in Z[zeta_{alpha.q}], ideal over q={ideal.q}")
-        f = _trim([c % p for c in alpha.coeffs])
+        f = list(alpha.coeffs)
     elif isinstance(alpha, int):
-        f = _trim([alpha % p])
+        f = [alpha]
     else:
         raise TypeError(f"expected int or CyclotomicInt, got {type(alpha).__name__}")
     return poly_mod(f, list(ideal.g), p)
@@ -405,8 +446,7 @@ def _check_ideal(ideal: PrimeIdealRep) -> None:
         raise ValueError(f"malformed ideal factor {ideal.g}")
     if ideal.residue_degree != multiplicative_order(ideal.p, ideal.q):
         raise ValueError(f"factor degree {ideal.residue_degree} is not ord(p mod q)")
-    phi = [c % ideal.p for c in cyclotomic_polynomial(ideal.q)]
-    if poly_divmod(phi, g, ideal.p)[1]:
+    if poly_mod(cyclotomic_polynomial(ideal.q), g, ideal.p):
         raise ValueError(f"{ideal.g} does not divide the cyclotomic polynomial mod {ideal.p}")
 
 
@@ -420,7 +460,7 @@ def power_residue_character(alpha, ideal: PrimeIdealRep) -> PowerCharValue:
     if not a:
         return PowerCharValue.zero(q)
     g = list(ideal.g)
-    value = poly_pow_mod(a, (ideal.residue_size - 1) // q, g, p)
+    value = _frobenius_power(a, q, ideal.residue_degree, g, q, p)
     zeta_img = poly_mod([0, 1], g, p)
     t = [1]
     for k in range(q):

@@ -146,6 +146,21 @@ def test_quat_split_at_the_twelve_base_pseudoprime():
     assert rec["outputs"]["symbols"]["798330580441"] == -1
 
 
+def test_character_commands_reject_the_twelve_base_pseudoprime():
+    # psi_12 once reached Cantor-Zassenhaus modulo a composite; as a place
+    # it must be a usage error, and promptly
+    src = str(Path(brauersplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    psi12 = "318665857834031151167461"
+    for argv in (["power-char", "2", psi12, "3"], ["kummer", "2", psi12, "3"], ["norm", "2", psi12, "3", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "brauersplit.cli", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 2, (argv, proc.stdout, proc.stderr)
+        assert proc.stderr.startswith("error:"), (argv, proc.stderr)
+
+
 def test_verify_single_n(capsys):
     code, out, _ = run_cli(capsys, "verify", "3", "--bound", "500")
     assert code == 0

@@ -16,6 +16,7 @@ from brauersplit.cyclotomic import (
     PowerCharValue,
     RamifiedPrimeError,
     SplittingClass,
+    _frobenius_power,
     cyclo_add,
     cyclo_mul,
     cyclo_reduce,
@@ -129,6 +130,28 @@ def test_pow_mod_known_values_in_gf49():
     a = [3, 3, 1]  # longer than g; it is 2 + 3x
     assert poly_pow_mod(a, 48, g, 7) == [1]
     assert poly_pow_mod(a, 49, g, 7) == [2, 3]
+
+
+def test_frobenius_power_matches_pow_mod():
+    # u^((p^f - 1)/m) modulo Phi_q and each of its factors, m = q and, for
+    # odd p, m = 2; bases empty, constant, short, and longer than h with
+    # negative coefficients.  The schoolbook oracle runs where p is small.
+    rng = random.Random(91)
+    for q in SUPPORTED_Q:
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 999983, 10**18 + 9):
+            if p == q:
+                continue
+            f = multiplicative_order(p, q)
+            for h in [cyclotomic_polynomial(q)] + [list(g) for g in factor_cyclotomic_mod_p(q, p)]:
+                bases = ([], [rng.randrange(1, p)], [rng.randrange(p) for _ in range(len(h) - 1)],
+                         [rng.randrange(-p, p) for _ in range(len(h) + 3)])
+                for m in (q, 2) if p % 2 else (q,):
+                    e = (p**f - 1) // m
+                    for u in bases:
+                        want = poly_pow_mod(u, e, h, p)
+                        if p < 40:
+                            assert want == schoolbook_pow_mod(u, e, h, p), (u, m, h, q, p)
+                        assert _frobenius_power(u, m, f, h, q, p) == want, (u, m, h, q, p)
 
 
 def test_short_dividend_is_reduced_and_trimmed():
@@ -313,6 +336,27 @@ def test_character_power_test_equivalence_small():
             from brauersplit.cyclotomic import _residue_image
 
             assert chi.is_trivial == (tuple(_residue_image(a, ideal)) in powers)
+
+
+def test_character_of_cyclotomic_elements_against_qth_powers():
+    # every residue field with f > 1 and p^f <= 2500 (27 fields), alpha
+    # running over every residue of degree < f as an element of Z[zeta_q]:
+    # the non-constant path, checked against literal q-th power sets
+    fields = 0
+    for q in SUPPORTED_Q:
+        for p in primes_up_to(2500):
+            f = multiplicative_order(p, q) if p != q else 0
+            if f < 2 or p**f > 2500:
+                continue
+            fields += 1
+            ideal = find_prime_ideal(p, q)
+            powers = brute_qth_powers(ideal)
+            for coeffs in field_elements(ideal):
+                chi = power_residue_character(CyclotomicInt(q, tuple(coeffs) + (0,) * (q - 1 - f)), ideal)
+                assert chi.is_zero == (not any(coeffs))
+                if any(coeffs):
+                    assert chi.is_trivial == (tuple(poly_mod(coeffs, list(ideal.g), p)) in powers), (coeffs, p, q)
+    assert fields == 27
 
 
 def test_character_multiplicative():
