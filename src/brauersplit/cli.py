@@ -3,13 +3,14 @@
 Output is JSON Lines on stdout (one record per line, keys sorted, so
 identical invocations are byte-identical); --pretty switches to an aligned
 human-readable listing.  Exit codes: 0 success/verified, 1 verification
-failure, 2 usage error.  Set BRAUER_SPLIT_LOG=DEBUG (or INFO, ...) for
-diagnostics on stderr.
+failure, 2 usage error or unwritable --out.  Set BRAUER_SPLIT_LOG=DEBUG (or
+INFO, ...) for diagnostics on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -150,9 +151,8 @@ def _cmd_verify(args) -> int:
         ns = list(SUPPORTED_N)
     else:
         ns = [int(args.n)]
-    out_file = open(args.out, "w") if args.out else None
     all_ok = True
-    try:
+    with open(args.out, "w") if args.out else contextlib.nullcontext() as out_file:
         for n in ns:
             report = verify_equivalence(n, args.bound)
             all_ok = all_ok and report.mandated_ok
@@ -160,9 +160,6 @@ def _cmd_verify(args) -> int:
                 "verify", {"n": n, "bound": args.bound}, report.to_dict()
             )
             _emit(record, args, out_file)
-    finally:
-        if out_file is not None:
-            out_file.close()
     return 0 if all_ok else 1
 
 
@@ -301,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     log.debug("dispatching %s with %s", args.command, vars(args))
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,27 +6,29 @@ polynomial Phi_q = 1 + x + ... + x^(q-1).  Polynomials over GF(p) are plain
 coefficient lists, constant term first, trimmed, as in the usual dense
 representation.
 
-Powers in GF(p)[x]/(g) share one packed ring, `_PackedRing`: a polynomial
-is one int with a fixed-width bit slot per coefficient, so a product is a
-single bignum multiply; reduction mod g folds the high slots back through a
-table of x^j mod g and then takes one % p per slot.  `poly_pow_mod` is the
-general power: pow(c, e, p) for a base that is a constant c mod g (every
-rational integer alpha, every residue field of degree 1), square-and-multiply
-otherwise.  The character and Cantor-Zassenhaus raise u to (p^d - 1)/m, with
-m = q or 2, modulo some h | Phi_q.  There x^q = 1, so Frobenius
-sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction, and
-`_frobenius_power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / m),
-r_(j+1) = p r_j mod m from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since
-u^floor(p r / m) = B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that
-is one log2(p)-bit power and fewer than m + d further products, where plain
+Powers in GF(p)[x]/(g) run on `_PackedRing`: a polynomial is one int with a
+fixed-width bit slot per coefficient, so a product is one bignum multiply;
+reduction mod g folds the high slots back through the table xs of x^j mod g
+and takes one % p per slot.  `poly_pow_mod` is the general power: pow(c, e, p)
+for a base that is a constant c mod g, square-and-multiply otherwise.  The
+character and Cantor-Zassenhaus raise u to (p^d - 1)/m, m = q or 2, modulo
+some h | Phi_q, where x^q = 1: Frobenius sigma(v) = v^p = v(x^(p mod q)) is
+linear and costs one reduction, and `_PackedRing.power` runs
+A_(j+1) = sigma(A_j) u^floor(p r_j / m), r_(j+1) = p r_j mod m from
+A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since u^floor(p r / m) =
+B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that is one
+log2(p)-bit power and fewer than m + d further products, where plain
 square-and-multiply takes d log2(p).  A modulus whose leading coefficient
 vanishes mod p raises ZeroDivisionError.
 
 A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
-irreducible factor of Phi_q mod p; the residue field GF(p)[x]/(g) is where
-the q-power residue character is evaluated.  The ideal machinery is limited
-to q in {3, 5, 7, 11, 13, 17, 19}, where Z[zeta_q] is a principal ideal
-domain.
+irreducible factor of Phi_q mod p.  The q-power residue character is
+evaluated in the residue field GF(p)[x]/(g), whose ring is built once per
+ideal, with the ideal's checks, as one is built once per Cantor-Zassenhaus
+split step.  zeta maps to x, whose powers x^k, k < q, are distinct as p != q,
+so the character zeta^k is read off as the k with xs[k] equal to the power.
+The ideal machinery is limited to q in {3, 5, 7, 11, 13, 17, 19}, where
+Z[zeta_q] is a principal ideal domain.
 """
 
 from __future__ import annotations
@@ -168,6 +170,24 @@ class _PackedRing:
         q, xs, s = self.q, self.xs, self.p % self.q
         return self.reduce(sum(c * xs[i * s % q] for i, c in enumerate(self.unpack(v)) if c))
 
+    def power(self, a: int, m: int, d: int) -> int:
+        """a^((p^d - 1)/m) for a packed, reduced a, g | Phi_q and
+        m | p^d - 1, by the Frobenius recurrence of the module docstring."""
+        p = self.p
+        if a < p:  # only slot 0 is set: a constant
+            return pow(a, (p**d - 1) // m, p)
+        rs = [pow(p, j, m) for j in range(d)]
+        # F[r] = a^floor(p r / m): F[r-1] * F[1], times a when floor(r (p mod m) / m) steps
+        b = self.pow(a, p // m)
+        ab, pm = self.mul(a, b), p % m
+        F = [1, b]
+        for r in range(2, max(rs) + 1):
+            F.append(self.mul(F[-1], ab if r * pm // m > (r - 1) * pm // m else b))
+        acc = b
+        for r in rs[1:]:
+            acc = self.mul(self.frobenius(acc), F[r])
+        return acc
+
 
 def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
     """f^e mod g over GF(p), for e >= 0."""
@@ -179,28 +199,6 @@ def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
         return [c] if c else []
     ring = _PackedRing(g, p)
     return ring.unpack(ring.pow(ring.pack(f), e))
-
-
-def _frobenius_power(u: list[int], m: int, d: int, h: list[int], q: int, p: int) -> list[int]:
-    """u^((p^d - 1)/m) mod h over GF(p), for h | Phi_q mod p and m | p^d - 1,
-    by the Frobenius recurrence of the module docstring."""
-    u = poly_mod(u, h, p)
-    if len(u) <= 1:
-        c = pow(u[0] if u else 0, (p**d - 1) // m, p)
-        return [c] if c else []
-    ring = _PackedRing(h, p, q)
-    a = ring.pack(u)
-    rs = [pow(p, j, m) for j in range(d)]
-    # F[r] = u^floor(p r / m): F[r-1] * F[1], times u when floor(r (p mod m) / m) steps
-    b = ring.pow(a, p // m)
-    ab, pm = ring.mul(a, b), p % m
-    F = [1, b]
-    for r in range(2, max(rs) + 1):
-        F.append(ring.mul(F[-1], ab if r * pm // m > (r - 1) * pm // m else b))
-    acc = b
-    for r in rs[1:]:
-        acc = ring.mul(ring.frobenius(acc), F[r])
-    return ring.unpack(acc)
 
 
 def cyclotomic_polynomial(q: int) -> list[int]:
@@ -226,17 +224,15 @@ def _split_equal_degree(h: list[int], d: int, p: int, q: int) -> list[list[int]]
     # separates two factors (choose it by CRT), hence termination.
     if len(h) - 1 == d:
         return [h]
+    ring = _PackedRing(h, p, q)
     for n in itertools.count(p):  # skip constants, they never separate
-        u = poly_mod(_poly_from_index(n, p), h, p)
+        u = ring.pack(poly_mod(_poly_from_index(n, p), h, p))
         if p == 2:
             # trace map of GF(2^d) over GF(2), evaluated factorwise
-            ring = _PackedRing(h, p, q)
-            vs = itertools.accumulate(range(d - 1), lambda v, _: ring.frobenius(v), initial=ring.pack(u))
-            t = ring.unpack(ring.reduce(sum(vs)))
+            t = sum(itertools.accumulate(range(d - 1), lambda v, _: ring.frobenius(v), initial=u))
         else:
-            t = _frobenius_power(u, 2, d, h, q, p)
-            t = _trim([(t[0] - 1) % p] + t[1:]) if t else [p - 1]
-        w = poly_gcd(h, t, p)
+            t = ring.power(u, 2, d) + p - 1  # u^((p^d - 1)/2) - 1; slot 0 stays below 2p
+        w = poly_gcd(h, ring.unpack(ring.reduce(t)), p)
         if 0 < len(w) - 1 < len(h) - 1:
             break
     rest = poly_divmod(h, w, p)[0]
@@ -436,7 +432,7 @@ def _residue_image(alpha, ideal: PrimeIdealRep) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _check_ideal(ideal: PrimeIdealRep) -> None:
+def _residue_ring(ideal: PrimeIdealRep) -> _PackedRing:
     # a monic divisor of Phi_q mod p of degree ord(p mod q) is automatically
     # irreducible, so these checks pin down well-formedness completely
     require_prime(ideal.p)
@@ -448,26 +444,21 @@ def _check_ideal(ideal: PrimeIdealRep) -> None:
         raise ValueError(f"factor degree {ideal.residue_degree} is not ord(p mod q)")
     if poly_mod(cyclotomic_polynomial(ideal.q), g, ideal.p):
         raise ValueError(f"{ideal.g} does not divide the cyclotomic polynomial mod {ideal.p}")
+    return _PackedRing(g, ideal.p, ideal.q)
 
 
 def power_residue_character(alpha, ideal: PrimeIdealRep) -> PowerCharValue:
     """Character (alpha / P)_q: zero when alpha lies in P, otherwise the
     unique q-th root of unity congruent to alpha^((|F|-1)/q) in the residue
     field F."""
-    _check_ideal(ideal)
-    q, p = ideal.q, ideal.p
+    ring = _residue_ring(ideal)
     a = _residue_image(alpha, ideal)
     if not a:
-        return PowerCharValue.zero(q)
-    g = list(ideal.g)
-    value = _frobenius_power(a, q, ideal.residue_degree, g, q, p)
-    zeta_img = poly_mod([0, 1], g, p)
-    t = [1]
-    for k in range(q):
-        if t == value:
-            return PowerCharValue.root(q, k)
-        t = poly_mod(poly_mul(t, zeta_img, p), g, p)
-    raise AssertionError("character value escaped the group of q-th roots of unity")
+        return PowerCharValue.zero(ideal.q)
+    value = ring.power(ring.pack(a), ideal.q, ideal.residue_degree)
+    if value not in ring.xs:
+        raise AssertionError("character value escaped the group of q-th roots of unity")
+    return PowerCharValue.root(ideal.q, ring.xs.index(value))
 
 
 class SplittingClass(Enum):

@@ -254,13 +254,17 @@ def test_criterion_09_character_equals_power_test():
                 continue
             ideal = find_prime_ideal(p, q)
             g = list(ideal.g)
-            powers = {
-                tuple(schoolbook_pow_mod(list(coeffs), q, g, p))
-                for coeffs in itertools.product(range(p), repeat=f)
-            }
+            if f == 1:
+                # GF(p)[x]/(x - r) is GF(p) itself: a maps to a % p
+                powers = {pow(c, q, p) for c in range(1, p)}
+            else:
+                powers = {
+                    tuple(schoolbook_pow_mod(list(coeffs), q, g, p))
+                    for coeffs in itertools.product(range(p), repeat=f)
+                }
             for a in range(1, p):
                 chi = power_residue_character(a, ideal)
-                is_power = tuple(poly_mod([a % p], g, p)) in powers
+                is_power = (a % p if f == 1 else tuple(poly_mod([a % p], g, p))) in powers
                 checked += 1
                 if chi.is_trivial != is_power:
                     bad.append((a, p, q))

@@ -195,6 +195,14 @@ def test_verify_out_file(tmp_path, capsys):
     assert target.read_text().strip() == out.strip()
 
 
+def test_verify_out_to_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(capsys, "verify", "3", "--bound", "50", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, "verify", "4", "--bound", "100")
     assert code == 2

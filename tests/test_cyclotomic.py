@@ -16,7 +16,7 @@ from brauersplit.cyclotomic import (
     PowerCharValue,
     RamifiedPrimeError,
     SplittingClass,
-    _frobenius_power,
+    _PackedRing,
     cyclo_add,
     cyclo_mul,
     cyclo_reduce,
@@ -143,6 +143,7 @@ def test_frobenius_power_matches_pow_mod():
                 continue
             f = multiplicative_order(p, q)
             for h in [cyclotomic_polynomial(q)] + [list(g) for g in factor_cyclotomic_mod_p(q, p)]:
+                ring = _PackedRing(h, p, q)
                 bases = ([], [rng.randrange(1, p)], [rng.randrange(p) for _ in range(len(h) - 1)],
                          [rng.randrange(-p, p) for _ in range(len(h) + 3)])
                 for m in (q, 2) if p % 2 else (q,):
@@ -151,7 +152,8 @@ def test_frobenius_power_matches_pow_mod():
                         want = poly_pow_mod(u, e, h, p)
                         if p < 40:
                             assert want == schoolbook_pow_mod(u, e, h, p), (u, m, h, q, p)
-                        assert _frobenius_power(u, m, f, h, q, p) == want, (u, m, h, q, p)
+                        got = ring.power(ring.pack(poly_mod(u, h, p)), m, f)
+                        assert ring.unpack(got) == want, (u, m, h, q, p)
 
 
 def test_short_dividend_is_reduced_and_trimmed():
@@ -357,6 +359,32 @@ def test_character_of_cyclotomic_elements_against_qth_powers():
                 if any(coeffs):
                     assert chi.is_trivial == (tuple(poly_mod(coeffs, list(ideal.g), p)) in powers), (coeffs, p, q)
     assert fields == 27
+
+
+def test_character_exponent_is_exact():
+    # chi(zeta^j) = zeta^(j (p^f - 1)/q) by definition, so the exponent k
+    # itself is pinned for every f, not only whether chi is zero or trivial;
+    # then chi(alpha zeta^j) = chi(alpha) chi(zeta)^j for random alpha
+    rng = random.Random(2718)
+    fields = nontrivial = 0
+    for q in SUPPORTED_Q:
+        for p in [*primes_up_to(400), 10**18 + 9, 1000000000000000931]:
+            if p == q:
+                continue
+            ideal = find_prime_ideal(p, q)
+            e = (ideal.residue_size - 1) // q
+            for j in range(q):
+                chi = power_residue_character(CyclotomicInt.zeta(q, j), ideal)
+                assert chi == PowerCharValue.root(q, j * e), (j, p, q)
+            for _ in range(3):
+                alpha = CyclotomicInt(q, tuple(rng.randrange(-p, p) for _ in range(q - 1)))
+                chi = power_residue_character(alpha, ideal)
+                for j in range(q):
+                    want = chi * PowerCharValue.root(q, j * e)
+                    assert power_residue_character(alpha * CyclotomicInt.zeta(q, j), ideal) == want, (alpha, j, p)
+            fields += 1
+            nontrivial += ideal.residue_degree > 1 and e % q != 0
+    assert (fields, nontrivial) == (553, 414)
 
 
 def test_character_multiplicative():
