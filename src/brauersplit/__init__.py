@@ -7,6 +7,7 @@ arithmetic.
 """
 
 from .arith import (
+    Inconclusive,
     is_prime,
     legendre_symbol,
     multiplicative_order,
@@ -68,6 +69,7 @@ __all__ = [
     "CyclotomicInt",
     "DecompositionType",
     "EquivalenceReport",
+    "Inconclusive",
     "NormQuestion",
     "NormTraceCase",
     "Place",

@@ -4,9 +4,11 @@ Primality is Miller-Rabin to the thirteen prime bases 2..41, which is exact
 below psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
 pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the twelve bases
 2..37 alone accept psi_12 = 318665857834031151167461 = 399165290221 *
-798330580441.  Factoring strips the thirteen small primes 2..41 and then
-splits every cofactor by Pollard rho.  All functions are pure and safe to
-call from concurrent workers.
+798330580441.  The library refuses above psi_13: `is_prime`, and through it
+`require_prime` and `factorize`, raise `Inconclusive` for a number there that
+passes all thirteen bases, instead of guessing.  Factoring strips the
+thirteen small primes 2..41 and then splits every cofactor by Pollard rho.
+All functions are pure and safe to call from concurrent workers.
 
 Public functions validate their arguments.  The underscored kernels
 (`_valuation`) and `sqrt_mod` trust theirs, so a caller that has already
@@ -18,13 +20,18 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 # The trial divisors and then the Miller-Rabin bases: exact for all
-# n < psi_13 = 3317044064679887385961981 (about 3.3 * 10**24).  Trial division
-# by the same primes first means a base never equals n.
+# n < _PSI_13 (about 3.3 * 10**24).  Trial division by the same primes first
+# means a base never equals n.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+class Inconclusive(Exception):
+    """No verdict: it would rest on an uncertified probable prime (not a ValueError)."""
 
 
 def is_prime(n: int) -> bool:
-    """True iff |n| is prime."""
+    """True iff |n| is prime; raises Inconclusive for |n| >= psi_13 that no base refutes."""
     n = abs(n)
     if n < 2:
         return False
@@ -48,6 +55,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _PSI_13:
+        raise Inconclusive(f"{n} is a strong probable prime to the bases 2..41, not certified")
     return True
 
 

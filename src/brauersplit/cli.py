@@ -3,8 +3,8 @@
 Output is JSON Lines on stdout (one record per line, keys sorted, so
 identical invocations are byte-identical); --pretty switches to an aligned
 human-readable listing.  Exit codes: 0 success/verified, 1 verification
-failure, 2 usage error or unwritable --out.  Set BRAUER_SPLIT_LOG=DEBUG (or
-INFO, ...) for diagnostics on stderr.
+failure, 2 usage error or unwritable --out, 3 inconclusive (a number at or
+above psi_13 that no primality base refutes, see `arith`).
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import logging
-import os
 import sys
 from dataclasses import dataclass
 
+from .arith import Inconclusive
 from .cyclotomic import (
     cyclotomic_decomposition,
     find_prime_ideal,
@@ -38,8 +37,6 @@ from .quaternion import (
     represent,
     verify_equivalence,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -284,20 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("BRAUER_SPLIT_LOG", "WARNING").upper(),
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other exits
         return int(exc.code or 0)
-    log.debug("dispatching %s with %s", args.command, vars(args))
     try:
         return args.func(args)
+    except Inconclusive as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

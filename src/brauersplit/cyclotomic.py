@@ -11,22 +11,24 @@ fixed-width bit slot per coefficient, so a product is one bignum multiply;
 reduction mod g folds the high slots back through the table xs of x^j mod g
 and takes one % p per slot.  `poly_pow_mod` is the general power: pow(c, e, p)
 for a base that is a constant c mod g, square-and-multiply otherwise.  The
-character and Cantor-Zassenhaus raise u to (p^d - 1)/m, m = q or 2, modulo
-some h | Phi_q, where x^q = 1: Frobenius sigma(v) = v^p = v(x^(p mod q)) is
-linear and costs one reduction, and `_PackedRing.power` runs
-A_(j+1) = sigma(A_j) u^floor(p r_j / m), r_(j+1) = p r_j mod m from
-A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since u^floor(p r / m) =
-B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that is one
-log2(p)-bit power and fewer than m + d further products, where plain
+character (m = q) and Cantor-Zassenhaus (m = 2, or m = q at p = 2, where
+q | 2^d - 1) raise u to (p^d - 1)/m modulo some h | Phi_q, where x^q = 1:
+Frobenius sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction,
+and `_PackedRing.power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / m),
+r_(j+1) = p r_j mod m from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since
+u^floor(p r / m) = B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that
+is one log2(p)-bit power and fewer than m + d further products, where plain
 square-and-multiply takes d log2(p).  A modulus whose leading coefficient
 vanishes mod p raises ZeroDivisionError.
 
 A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
-irreducible factor of Phi_q mod p.  The q-power residue character is
-evaluated in the residue field GF(p)[x]/(g), whose ring is built once per
-ideal, with the ideal's checks, as one is built once per Cantor-Zassenhaus
-split step.  zeta maps to x, whose powers x^k, k < q, are distinct as p != q,
-so the character zeta^k is read off as the k with xs[k] equal to the power.
+irreducible factor of Phi_q mod p.  By Kummer-Dedekind these are all the
+primes above p, so an ideal is valid iff g is in `factor_cyclotomic_mod_p`.
+The q-power residue character is evaluated in the residue field
+GF(p)[x]/(g), whose ring is built once per ideal, as one is built once per
+Cantor-Zassenhaus split step.  zeta maps to x, whose powers x^k, k < q, are
+distinct as p != q, so the character zeta^k is read off as the k with xs[k]
+equal to the power.
 The ideal machinery is limited to q in {3, 5, 7, 11, 13, 17, 19}, where
 Z[zeta_q] is a principal ideal domain.
 """
@@ -80,23 +82,14 @@ def _lead_inverse(g: list[int], p: int) -> int:
 
 def poly_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     inv = _lead_inverse(g, p)
-    if len(f) < len(g):
-        return [], _trim([c % p for c in f])
-    f = f[:]
-    q = [0] * (len(f) - len(g) + 1)
-    while len(f) >= len(g):
-        c = f[-1] * inv % p
-        d = len(f) - len(g)
-        q[d] = c
+    f = [c % p for c in f]
+    n = len(g) - 1
+    quot = [0] * (len(f) - n)  # empty when deg f < deg g
+    for d in reversed(range(len(quot))):
+        c = quot[d] = f[d + n] * inv % p
         for i, gi in enumerate(g):
             f[d + i] = (f[d + i] - c * gi) % p
-        _trim(f)
-    if d:
-        # the degree fell past the step that reduces the constant term,
-        # so f[:d] still holds raw coefficients
-        f[:d] = [c % p for c in f[:d]]
-        _trim(f)
-    return _trim(q), f
+    return _trim(quot), _trim(f[:n])
 
 
 def poly_mod(f: list[int], g: list[int], p: int) -> list[int]:
@@ -227,11 +220,8 @@ def _split_equal_degree(h: list[int], d: int, p: int, q: int) -> list[list[int]]
     ring = _PackedRing(h, p, q)
     for n in itertools.count(p):  # skip constants, they never separate
         u = ring.pack(poly_mod(_poly_from_index(n, p), h, p))
-        if p == 2:
-            # trace map of GF(2^d) over GF(2), evaluated factorwise
-            t = sum(itertools.accumulate(range(d - 1), lambda v, _: ring.frobenius(v), initial=u))
-        else:
-            t = ring.power(u, 2, d) + p - 1  # u^((p^d - 1)/2) - 1; slot 0 stays below 2p
+        # u^((p^d - 1)/m) - 1 with m = 2, or m = q | 2^d - 1 at p = 2; slot 0 stays below 2p
+        t = ring.power(u, 2 if p > 2 else q, d) + p - 1
         w = poly_gcd(h, ring.unpack(ring.reduce(t)), p)
         if 0 < len(w) - 1 < len(h) - 1:
             break
@@ -433,18 +423,9 @@ def _residue_image(alpha, ideal: PrimeIdealRep) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _residue_ring(ideal: PrimeIdealRep) -> _PackedRing:
-    # a monic divisor of Phi_q mod p of degree ord(p mod q) is automatically
-    # irreducible, so these checks pin down well-formedness completely
-    require_prime(ideal.p)
-    require_prime(ideal.q, odd=True)
-    g = list(ideal.g)
-    if not g or g[-1] != 1 or not (1 <= ideal.residue_degree <= ideal.q - 1):
-        raise ValueError(f"malformed ideal factor {ideal.g}")
-    if ideal.residue_degree != multiplicative_order(ideal.p, ideal.q):
-        raise ValueError(f"factor degree {ideal.residue_degree} is not ord(p mod q)")
-    if poly_mod(cyclotomic_polynomial(ideal.q), g, ideal.p):
-        raise ValueError(f"{ideal.g} does not divide the cyclotomic polynomial mod {ideal.p}")
-    return _PackedRing(g, ideal.p, ideal.q)
+    if ideal.q not in SUPPORTED_Q or ideal.g not in factor_cyclotomic_mod_p(ideal.q, ideal.p):
+        raise ValueError(f"{ideal}: need q in {SUPPORTED_Q} and g a factor of Phi_q mod p")
+    return _PackedRing(list(ideal.g), ideal.p, ideal.q)
 
 
 def power_residue_character(alpha, ideal: PrimeIdealRep) -> PowerCharValue:

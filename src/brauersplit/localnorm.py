@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import multiplicative_order, require_prime
+from .arith import require_prime
 from .cyclotomic import (
     SUPPORTED_Q,
     CyclotomicInt,
@@ -89,8 +89,8 @@ def symbol_algebra_norm_trace(query: SymbolAlgebraQuery) -> SplitTrace:
     norm criterion does not cover.
     """
     p, q = query.p, query.q
-    f_prime = multiplicative_order(p, q)
     ideal = find_prime_ideal(p, q)
+    f_prime = ideal.residue_degree
     chi = power_residue_character(query.alpha, ideal)
     m = q * query.l
     if chi.is_zero:

@@ -17,14 +17,11 @@ solve for the representation with `_cornacchia`, validating nothing per row.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 from math import isqrt
 
 from .arith import legendre_symbol, odd_prime_divisors, primes_up_to, require_prime, sqrt_mod
 from .padic import _local_symbol, hilbert_product
-
-log = logging.getLogger(__name__)
 
 # n values whose converse (split implies congruence) is established; for the
 # remaining n the sweep reports converse failures informationally.
@@ -240,7 +237,6 @@ def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
     cong_implies_split = all(s for _, s, c, _ in rows if c)
     split_implies_cong = all(c for _, s, c, _ in rows if s)
     converse_failures = tuple(q for q, s, c, _ in rows if s and not c)
-    log.debug("n=%d bound=%d: %d primes, %d disagreements", n, bound, len(rows), len(disagreements))
     return EquivalenceReport(
         n=n,
         bound=bound,

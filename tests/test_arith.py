@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brauersplit.arith import (
+    Inconclusive,
     factorize,
     is_prime,
     legendre_symbol,
@@ -12,6 +13,7 @@ from brauersplit.arith import (
     odd_prime_divisors,
     padic_valuation,
     primes_up_to,
+    require_prime,
     sqrt_mod,
 )
 
@@ -141,6 +143,21 @@ def test_is_prime_rejects_the_twelve_base_pseudoprime():
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 + 11))
+
+
+def test_refuses_probable_primes_from_psi_13():
+    # psi_13 = 1287836182261 * 2575672364521 passes every base 2..41, so no
+    # number from it up that passes them all is certified, not even the true
+    # prime 10^25 + 13; a base that proves n composite still answers
+    psi13 = 3317044064679887385961981
+    assert 1287836182261 * 2575672364521 == psi13
+    assert not issubclass(Inconclusive, ValueError)
+    for n in (psi13, 10**25 + 13):
+        with pytest.raises(Inconclusive):
+            require_prime(n)
+    with pytest.raises(Inconclusive):
+        factorize(61 * psi13)
+    assert not is_prime(10000000000037 * 10000000000051)
 
 
 def test_sqrt_mod_against_table_of_squares():

@@ -146,6 +146,27 @@ def test_quat_split_at_the_twelve_base_pseudoprime():
     assert rec["outputs"]["symbols"]["798330580441"] == -1
 
 
+def test_quat_split_refuses_the_thirteen_base_pseudoprime(capsys):
+    # psi_13 passes all thirteen bases; (61, psi_13) is a division algebra,
+    # which the CLI once reported as split
+    code, out, err = run_cli(capsys, "quat-split", "61", "3317044064679887385961981")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("inconclusive:")
+
+
+def test_log_environment_variable_is_ignored():
+    # an unknown BRAUER_SPLIT_LOG level once ended in a traceback with exit 1
+    src = str(Path(brauersplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "BRAUER_SPLIT_LOG": "bogus"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "brauersplit.cli", "cyclo", "2", "3"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert records(proc.stdout)[0]["outputs"] == {"e": 1, "f": 2, "g": 1}
+
+
 def test_character_commands_reject_the_twelve_base_pseudoprime():
     # psi_12 once reached Cantor-Zassenhaus modulo a composite; as a place
     # it must be a usage error, and promptly

@@ -14,6 +14,7 @@ from brauersplit.cyclotomic import (
     CyclotomicInt,
     DecompositionType,
     PowerCharValue,
+    PrimeIdealRep,
     RamifiedPrimeError,
     SplittingClass,
     _PackedRing,
@@ -165,6 +166,25 @@ def test_short_dividend_is_reduced_and_trimmed():
     # x^3 + x^2 + 5 = x*(x^2 + x + 1) - x + 5: the degree drops by two in one
     # step, past the step that would have reduced the constant 5
     assert poly_divmod([5, 0, 1, 1], [1, 1, 1], 3) == ([0, 1], [2, 2])
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 101, 10**18 + 9])
+def test_divmod_reconstructs_the_dividend(p):
+    # non-monic g with negative coefficients and coefficients above p; f
+    # shorter than, as long as and longer than g
+    rng = random.Random(p)
+    for _ in range(100):
+        n = rng.randint(0, 5)
+        lead = rng.randint(1, p - 1) + p * rng.randint(-2, 2)
+        g = [rng.randint(-2 * p, 2 * p) for _ in range(n)] + [lead]
+        for length in (n, n + 1, n + 1 + rng.randint(1, 6)):
+            f = [rng.randint(-2 * p, 2 * p) for _ in range(length)]
+            quot, rem = poly_divmod(f, g, p)
+            terms = itertools.zip_longest(poly_mul(quot, g, p), rem, f, fillvalue=0)
+            assert all((x + r - c) % p == 0 for x, r, c in terms), (f, g)
+            assert len(rem) <= n, (f, g)
+            assert all(0 <= c < p for c in quot + rem), (f, g)
+            assert quot[-1:] != [0] and rem[-1:] != [0], (f, g)
 
 
 def test_degenerate_modulus_raises_instead_of_hanging():
@@ -397,6 +417,21 @@ def test_character_multiplicative():
                 assert power_residue_character(a * b, ideal) == ca * cb
 
 
+def test_character_accepts_every_prime_above_p():
+    # every factor of Phi_q mod p is a prime ideal, not only the one
+    # find_prime_ideal picks; zeta^((p^f - 1)/q) is the same power of zeta
+    # in every residue field
+    for q in SUPPORTED_Q:
+        z = CyclotomicInt.zeta(q)
+        for p in primes_up_to(60):
+            if p == q:
+                continue
+            f = multiplicative_order(p, q)
+            for g in factor_cyclotomic_mod_p(q, p):
+                chi = power_residue_character(z, PrimeIdealRep(p=p, q=q, g=g))
+                assert chi == PowerCharValue.root(q, (p**f - 1) // q), (q, p, g)
+
+
 def test_character_accepts_cyclotomic_elements():
     ideal = find_prime_ideal(7, 3)
     z = CyclotomicInt.zeta(3)
@@ -450,11 +485,17 @@ def test_kummer_rejects_zero():
 
 
 def test_character_rejects_malformed_ideal():
-    from brauersplit.cyclotomic import PrimeIdealRep
-
     with pytest.raises(ValueError):
         power_residue_character(2, PrimeIdealRep(p=7, q=3, g=(1, 1)))  # x+1 does not divide Phi_3
     with pytest.raises(ValueError):
         power_residue_character(2, PrimeIdealRep(p=7, q=3, g=(1, 1, 1)))  # wrong degree
     with pytest.raises(ValueError):
         power_residue_character(2, PrimeIdealRep(p=7, q=3, g=(3, 2)))  # not monic
+    with pytest.raises(ValueError):
+        # monic of degree f = ord(2 mod 7) = 3, but x^3 + 1 = (x + 1)(x^2 + x + 1) mod 2
+        power_residue_character(3, PrimeIdealRep(p=2, q=7, g=(1, 0, 0, 1)))
+    with pytest.raises(ValueError):
+        # a true factor, but q = 23 is outside the supported orders
+        power_residue_character(3, PrimeIdealRep(p=2, q=23, g=factor_cyclotomic_mod_p(23, 2)[0]))
+    with pytest.raises(ValueError):
+        power_residue_character(2, PrimeIdealRep(p=3, q=2, g=(1, 1)))  # Phi_2 = x + 1, q even

@@ -2,7 +2,6 @@ import tracemalloc
 from math import gcd
 from time import perf_counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,27 +22,18 @@ SMALL_PRIMES = primes_up_to(30)
 
 def _solvable_sweep(a: int, b: int, p: int, k: int) -> bool:
     # Literal enumeration of (x, y) in (Z/p^k)^2 with a square table for z.
+    # x and y enter only through r^2 mod p^k and whether r is a unit, so each
+    # such class of r stands for all its members.
     pk = p**k
-    r = np.arange(pk, dtype=np.int64)
-    sq = (r * r) % pk
-    is_sq = np.zeros(pk, dtype=bool)
-    is_sq[sq] = True
-    unit = (r % p) != 0
-    unit_sq = np.zeros(pk, dtype=bool)
-    unit_sq[sq[unit]] = True
-    by2 = (b % pk) * sq % pk
-    for x in range(pk):
-        w = ((a * x * x) % pk + by2) % pk
-        if x % p:
-            # x is a unit: any z completing the congruence gives a
-            # primitive triple.
-            if is_sq[w].any():
-                return True
-        else:
-            if is_sq[w[unit]].any():
-                return True
-            # x and y both divisible by p: z must be a unit.
-            if unit_sq[w[~unit]].any():
+    classes = {(r * r % pk, r % p != 0) for r in range(pk)}
+    squares = {s for s, _ in classes}
+    unit_squares = {s for s, unit in classes if unit}
+    for sx, x_unit in classes:
+        for sy, y_unit in classes:
+            w = (a * sx + b * sy) % pk
+            # x or y a unit: any z completing the congruence gives a primitive
+            # triple; x and y both divisible by p: z must be a unit
+            if w in (squares if x_unit or y_unit else unit_squares):
                 return True
     return False
 
