@@ -83,14 +83,20 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 def multiplicative_order(p: int, l: int) -> int:
-    """Smallest f >= 1 with p**f == 1 (mod l).  Requires gcd(p, l) == 1."""
+    """Smallest f >= 1 with p**f == 1 (mod l).  Requires l >= 1 and gcd(p, l) == 1.
+
+    f divides phi(l), which `factorize(l)` gives: starting from f = phi(l),
+    divide f by each prime r of phi(l) while p**(f/r) is still 1 mod l."""
+    if l < 1:
+        raise ValueError(f"modulus {l} < 1; order undefined")
     if gcd(p, l) != 1:
         raise ValueError(f"gcd({p}, {l}) != 1; order undefined")
     f = 1
-    x = p % l
-    while x != 1:
-        x = x * p % l
-        f += 1
+    for r, e in factorize(l).items():
+        f *= (r - 1) * r ** (e - 1)
+    for r in factorize(f):
+        while f % r == 0 and pow(p, f // r, l) == 1:
+            f //= r
     return f
 
 

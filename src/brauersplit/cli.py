@@ -2,18 +2,21 @@
 
 Output is JSON Lines on stdout (one record per line, keys sorted, so
 identical invocations are byte-identical); --pretty switches to an aligned
-human-readable listing.  Exit codes: 0 success/verified, 1 verification
-failure, 2 usage error or unwritable --out, 3 inconclusive (a number at or
-above psi_13 that no primality base refutes, see `arith`).
+human-readable listing.  Each handler yields the (inputs, outputs, witness)
+of its records; `main` alone builds and prints them, writes --out and picks
+the exit code.  Exit codes: 0 success/verified, 1 a record whose outputs
+hold `agree: false` or `mandated_ok: false` (a mandated check failed), 2
+usage error or unwritable --out, 3 inconclusive (a number at or above psi_13
+that no primality base refutes, see `arith`).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 from .arith import Inconclusive
 from .cyclotomic import (
@@ -39,7 +42,7 @@ from .quaternion import (
 )
 
 
-@dataclass
+@dataclasses.dataclass
 class ReportRecord:
     """One machine-readable result: command, inputs, outputs, optional witness."""
 
@@ -49,13 +52,7 @@ class ReportRecord:
     witness: object = None
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "witness": self.witness,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
 
     def pretty(self) -> str:
         lines = [f"{self.command}:"]
@@ -67,13 +64,6 @@ class ReportRecord:
         return "\n".join(lines)
 
 
-def _emit(record: ReportRecord, args, out_file=None) -> None:
-    text = record.pretty() if args.pretty else record.to_json()
-    print(text)
-    if out_file is not None:
-        out_file.write(record.to_json() + "\n")
-
-
 def _parse_place(spec: str) -> Place:
     if spec == "inf":
         return Place.infinite()
@@ -83,11 +73,10 @@ def _parse_place(spec: str) -> Place:
     return Place(p)
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args):
     place = _parse_place(args.place)
     value = hilbert_symbol(args.alpha, args.beta, place)
     outputs = {"value": value}
-    exit_code = 0
     if args.oracle:
         if place.is_infinite:
             oracle = not (args.alpha < 0 and args.beta < 0)
@@ -98,18 +87,10 @@ def _cmd_hilbert(args) -> int:
             outputs["k_star"] = k
         outputs["oracle"] = oracle
         outputs["agree"] = (value == 1) == oracle
-        if not outputs["agree"]:
-            exit_code = 1
-    record = ReportRecord(
-        "hilbert",
-        {"alpha": args.alpha, "beta": args.beta, "place": str(place)},
-        outputs,
-    )
-    _emit(record, args)
-    return exit_code
+    yield {"alpha": args.alpha, "beta": args.beta, "place": str(place)}, outputs, None
 
 
-def _cmd_quat_split(args) -> int:
+def _cmd_quat_split(args):
     algebra = QuaternionAlgebra(args.alpha, args.beta)
     symbols = hilbert_product(args.alpha, args.beta)
     split = all(v == 1 for v in symbols.values())
@@ -127,93 +108,54 @@ def _cmd_quat_split(args) -> int:
                 witness = {"x": point.x, "y": point.y, "z": point.z}
         else:
             outputs["witness_note"] = "no rational point exists (division algebra)"
-    record = ReportRecord(
-        "quat-split", {"alpha": algebra.a, "beta": algebra.b}, outputs, witness
-    )
-    _emit(record, args)
-    return 0
+    yield {"alpha": algebra.a, "beta": algebra.b}, outputs, witness
 
 
-def _cmd_represent(args) -> int:
+def _cmd_represent(args):
     rep = represent(args.n, args.q)
-    outputs = {"exists": rep is not None}
     witness = None if rep is None else {"x": rep.x, "y": rep.y}
-    record = ReportRecord("represent", {"n": args.n, "q": args.q}, outputs, witness)
-    _emit(record, args)
-    return 0
+    yield {"n": args.n, "q": args.q}, {"exists": rep is not None}, witness
 
 
-def _cmd_verify(args) -> int:
-    if args.n == "all":
-        ns = list(SUPPORTED_N)
-    else:
-        ns = [int(args.n)]
-    all_ok = True
-    with open(args.out, "w") if args.out else contextlib.nullcontext() as out_file:
-        for n in ns:
-            report = verify_equivalence(n, args.bound)
-            all_ok = all_ok and report.mandated_ok
-            record = ReportRecord(
-                "verify", {"n": n, "bound": args.bound}, report.to_dict()
-            )
-            _emit(record, args, out_file)
-    return 0 if all_ok else 1
+def _cmd_verify(args):
+    ns = SUPPORTED_N if args.n == "all" else [int(args.n)]
+    for n in ns:
+        report = verify_equivalence(n, args.bound)
+        yield {"n": n, "bound": args.bound}, report.to_dict(), None
 
 
-def _cmd_cyclo(args) -> int:
+def _cmd_cyclo(args):
     dec = cyclotomic_decomposition(args.p, args.q)
-    record = ReportRecord(
-        "cyclo",
-        {"p": args.p, "q": args.q},
-        {"e": dec.e, "f": dec.f, "g": dec.g},
-    )
-    _emit(record, args)
-    return 0
+    yield {"p": args.p, "q": args.q}, {"e": dec.e, "f": dec.f, "g": dec.g}, None
 
 
-def _cmd_power_char(args) -> int:
+def _cmd_power_char(args):
     ideal = find_prime_ideal(args.p, args.q)
     chi = power_residue_character(args.alpha, ideal)
-    record = ReportRecord(
-        "power-char",
-        {"alpha": args.alpha, "p": args.p, "q": args.q},
-        {
-            "value": "zero" if chi.is_zero else chi.k,
-            "ideal_factor": list(ideal.g),
-        },
-    )
-    _emit(record, args)
-    return 0
+    outputs = {
+        "value": "zero" if chi.is_zero else chi.k,
+        "ideal_factor": list(ideal.g),
+    }
+    yield {"alpha": args.alpha, "p": args.p, "q": args.q}, outputs, None
 
 
-def _cmd_kummer(args) -> int:
+def _cmd_kummer(args):
     cls = kummer_splitting(args.alpha, args.p, args.q)
-    record = ReportRecord(
-        "kummer",
-        {"alpha": args.alpha, "p": args.p, "q": args.q},
-        {"splitting": cls.value},
-    )
-    _emit(record, args)
-    return 0
+    yield {"alpha": args.alpha, "p": args.p, "q": args.q}, {"splitting": cls.value}, None
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args):
     trace = symbol_algebra_norm_trace(
         SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=args.q, l=args.l)
     )
-    record = ReportRecord(
-        "norm",
-        {"alpha": args.alpha, "p": args.p, "q": args.q, "l": args.l},
-        {
-            "case": trace.case.value,
-            "f_prime": trace.f_prime,
-            "f_rel": trace.f_rel,
-            "m": trace.m,
-            "is_norm": trace.is_norm,
-        },
-    )
-    _emit(record, args)
-    return 0
+    outputs = {
+        "case": trace.case.value,
+        "f_prime": trace.f_prime,
+        "f_rel": trace.f_rel,
+        "m": trace.m,
+        "is_norm": trace.is_norm,
+    }
+    yield {"alpha": args.alpha, "p": args.p, "q": args.q, "l": args.l}, outputs, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,53 +172,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hilbert", parents=[common], help="Hilbert symbol at one place")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
-    p.add_argument("place", help="'inf', 2, or an odd prime")
+    def command(name, func, help, *positionals):
+        # a positional is an int-valued name, or a (name, help) pair taken as a string
+        p = sub.add_parser(name, parents=[common], help=help)
+        for arg in positionals:
+            if isinstance(arg, str):
+                p.add_argument(arg, type=int)
+            else:
+                p.add_argument(arg[0], help=arg[1])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("hilbert", _cmd_hilbert, "Hilbert symbol at one place",
+                "alpha", "beta", ("place", "'inf', 2, or an odd prime"))
     p.add_argument("--oracle", action="store_true", help="cross-check with the residue search")
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("quat-split", parents=[common], help="split/division verdict with per-place symbols")
-    p.add_argument("alpha", type=int)
-    p.add_argument("beta", type=int)
+    p = command("quat-split", _cmd_quat_split, "split/division verdict with per-place symbols",
+                "alpha", "beta")
     p.add_argument("--witness", type=int, metavar="H", help="search a conic point up to height H")
-    p.set_defaults(func=_cmd_quat_split)
-
-    p = sub.add_parser("represent", parents=[common], help="solve q = x^2 + n*y^2")
-    p.add_argument("n", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_represent)
-
-    p = sub.add_parser("verify", parents=[common], help="sweep split/congruence/representation equivalences")
-    p.add_argument("n", help="criterion index or 'all'")
+    command("represent", _cmd_represent, "solve q = x^2 + n*y^2", "n", "q")
+    p = command("verify", _cmd_verify, "sweep split/congruence/representation equivalences",
+                ("n", "criterion index or 'all'"))
     p.add_argument("--bound", type=int, default=1000, metavar="B")
     p.add_argument("--out", metavar="FILE", help="also write JSON lines to FILE")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("cyclo", parents=[common], help="decomposition type of p in the q-th cyclotomic field")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_cyclo)
-
-    p = sub.add_parser("power-char", parents=[common], help="q-power residue character of alpha above p")
-    p.add_argument("alpha", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_power_char)
-
-    p = sub.add_parser("kummer", parents=[common], help="splitting class in the Kummer extension")
-    p.add_argument("alpha", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.set_defaults(func=_cmd_kummer)
-
-    p = sub.add_parser("norm", parents=[common], help="norm-membership trace for a degree-q symbol algebra")
-    p.add_argument("alpha", type=int)
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    p.add_argument("l", type=int)
-    p.set_defaults(func=_cmd_norm)
+    command("cyclo", _cmd_cyclo, "decomposition type of p in the q-th cyclotomic field", "p", "q")
+    command("power-char", _cmd_power_char, "q-power residue character of alpha above p",
+            "alpha", "p", "q")
+    command("kummer", _cmd_kummer, "splitting class in the Kummer extension", "alpha", "p", "q")
+    command("norm", _cmd_norm, "norm-membership trace for a degree-q symbol algebra",
+            "alpha", "p", "q", "l")
     return parser
 
 
@@ -287,14 +210,25 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other exits
         return int(exc.code or 0)
+    out = getattr(args, "out", None)  # only verify defines --out
+    failed = False
     try:
-        return args.func(args)
+        with open(out, "w") if out else contextlib.nullcontext() as out_file:
+            for inputs, outputs, witness in args.func(args):
+                record = ReportRecord(args.command, inputs, outputs, witness)
+                print(record.pretty() if args.pretty else record.to_json())
+                if out_file is not None:
+                    out_file.write(record.to_json() + "\n")
+                # the two mandated checks: hilbert --oracle and verify
+                if outputs.get("agree") is False or outputs.get("mandated_ok") is False:
+                    failed = True
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -100,7 +100,7 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
     while g:
         f, g = g, poly_mod(f, g, p)
     if f:
-        inv = pow(f[-1], p - 2, p)
+        inv = _lead_inverse(f, p)
         f = [c * inv % p for c in f]
     return f
 
@@ -158,10 +158,15 @@ class _PackedRing:
                 acc = self.mul(acc, a)
         return acc
 
-    def frobenius(self, v: int) -> int:
-        # v^p = v(x^(p mod q)), a linear map: x^q = 1 modulo g | Phi_q
-        q, xs, s = self.q, self.xs, self.p % self.q
-        return self.reduce(sum(c * xs[i * s % q] for i, c in enumerate(self.unpack(v)) if c))
+    def image(self, coeffs, s: int = 1) -> int:
+        # sum of (c mod p) x^(i s mod q) over coeffs[i], as x^q = 1 modulo
+        # g | Phi_q: the image of an element of Z[zeta_q] at s = 1 (zeta to
+        # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q.  At most q - 1
+        # terms below p^2 fit a slot: with f = ord(p mod q) <= n, q - 1 <=
+        # f^2 (p - 1) for every supported q and prime p != q (p = 1 mod q
+        # when f = 1; the primes p < 7 with f > 1 checked one by one)
+        q, xs, p = self.q, self.xs, self.p
+        return self.reduce(sum(c % p * xs[i * s % q] for i, c in enumerate(coeffs) if c))
 
     def power(self, a: int, m: int, d: int) -> int:
         """a^((p^d - 1)/m) for a packed, reduced a, g | Phi_q and
@@ -178,7 +183,7 @@ class _PackedRing:
             F.append(self.mul(F[-1], ab if r * pm // m > (r - 1) * pm // m else b))
         acc = b
         for r in rs[1:]:
-            acc = self.mul(self.frobenius(acc), F[r])
+            acc = self.mul(self.image(self.unpack(acc), p % self.q), F[r])
         return acc
 
 
@@ -218,8 +223,11 @@ def _split_equal_degree(h: list[int], d: int, p: int, q: int) -> list[list[int]]
     if len(h) - 1 == d:
         return [h]
     ring = _PackedRing(h, p, q)
-    for n in itertools.count(p):  # skip constants, they never separate
-        u = ring.pack(poly_mod(_poly_from_index(n, p), h, p))
+    # Constants never separate, so skip them.  Every residue mod h has degree
+    # < deg h, so some trial of degree < deg h separates, and the reduced
+    # digits of each trial before it pack into the ring as they are.
+    for n in itertools.count(p):
+        u = ring.pack(_poly_from_index(n, p))
         # u^((p^d - 1)/m) - 1 with m = 2, or m = q | 2^d - 1 at p = 2; slot 0 stays below 2p
         t = ring.power(u, 2 if p > 2 else q, d) + p - 1
         w = poly_gcd(h, ring.unpack(ring.reduce(t)), p)
@@ -407,20 +415,6 @@ class PowerCharValue:
         return PowerCharValue.root(self.q, self.k + other.k)
 
 
-def _residue_image(alpha, ideal: PrimeIdealRep) -> list[int]:
-    # image of alpha in GF(p)[x]/(g), zeta mapping to the class of x
-    p = ideal.p
-    if isinstance(alpha, CyclotomicInt):
-        if alpha.q != ideal.q:
-            raise ValueError(f"element lives in Z[zeta_{alpha.q}], ideal over q={ideal.q}")
-        f = list(alpha.coeffs)
-    elif isinstance(alpha, int):
-        f = [alpha]
-    else:
-        raise TypeError(f"expected int or CyclotomicInt, got {type(alpha).__name__}")
-    return poly_mod(f, list(ideal.g), p)
-
-
 @lru_cache(maxsize=None)
 def _residue_ring(ideal: PrimeIdealRep) -> _PackedRing:
     if ideal.q not in SUPPORTED_Q or ideal.g not in factor_cyclotomic_mod_p(ideal.q, ideal.p):
@@ -433,12 +427,18 @@ def power_residue_character(alpha, ideal: PrimeIdealRep) -> PowerCharValue:
     unique q-th root of unity congruent to alpha^((|F|-1)/q) in the residue
     field F."""
     ring = _residue_ring(ideal)
-    a = _residue_image(alpha, ideal)
+    if isinstance(alpha, CyclotomicInt):
+        if alpha.q != ideal.q:
+            raise ValueError(f"element lives in Z[zeta_{alpha.q}], ideal over q={ideal.q}")
+        coeffs = alpha.coeffs
+    elif isinstance(alpha, int):
+        coeffs = (alpha,)
+    else:
+        raise TypeError(f"expected int or CyclotomicInt, got {type(alpha).__name__}")
+    a = ring.image(coeffs)  # zeta maps to the class of x
     if not a:
         return PowerCharValue.zero(ideal.q)
-    value = ring.power(ring.pack(a), ideal.q, ideal.residue_degree)
-    if value not in ring.xs:
-        raise AssertionError("character value escaped the group of q-th roots of unity")
+    value = ring.power(a, ideal.q, ideal.residue_degree)
     return PowerCharValue.root(ideal.q, ring.xs.index(value))
 
 

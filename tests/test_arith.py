@@ -100,6 +100,31 @@ def test_multiplicative_order_requires_coprime():
         multiplicative_order(6, 3)
 
 
+def order_by_walk(p, l):
+    # the oracle: walk p, p^2, ... mod l until it reaches 1
+    f = 1
+    x = p % l
+    while x != 1 % l:
+        x = x * p % l
+        f += 1
+    return f
+
+
+def test_multiplicative_order_matches_walk():
+    for l in range(1, 400):
+        for p in range(1, 60):
+            if gcd(p, l) == 1:
+                assert multiplicative_order(p, l) == order_by_walk(p, l), (p, l)
+
+
+def test_multiplicative_order_modulus_one_and_below():
+    # the walk never ended at l = 1, where x stays 0
+    assert multiplicative_order(5, 1) == 1
+    for l in (0, -7):
+        with pytest.raises(ValueError):
+            multiplicative_order(5, l)
+
+
 def test_padic_valuation_examples():
     assert padic_valuation(12, 2) == 2
     assert padic_valuation(12, 5) == 0

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import brauersplit
+import brauersplit.cli
 from brauersplit.cli import ReportRecord, main
 
 
@@ -40,6 +41,15 @@ def test_hilbert_oracle_agreement(capsys):
     assert code == 0
     rec = records(out)[0]
     assert rec["outputs"] == {"agree": True, "k_star": 5, "oracle": False, "value": -1}
+
+
+def test_hilbert_oracle_disagreement_exits_1(monkeypatch, capsys):
+    # the record is still printed; only the exit code reports the failed check
+    oracle = brauersplit.cli.qp_solvable_oracle
+    monkeypatch.setattr(brauersplit.cli, "qp_solvable_oracle", lambda *args: not oracle(*args))
+    code, out, err = run_cli(capsys, "hilbert", "-1", "3", "2", "--oracle")
+    assert (code, err) == (1, "")
+    assert records(out)[0]["outputs"] == {"agree": False, "k_star": 5, "oracle": True, "value": -1}
 
 
 def test_hilbert_at_one_place_does_not_factor():
@@ -182,6 +192,12 @@ def test_character_commands_reject_the_twelve_base_pseudoprime():
         assert proc.stderr.startswith("error:"), (argv, proc.stderr)
 
 
+def test_cyclo_order_modulo_a_large_prime_is_bounded():
+    # the order of 3 mod 10^18 + 3 was once found by walking its powers
+    rec = run_cli_subprocess("cyclo", "3", str(10**18 + 3))
+    assert rec["outputs"] == {"e": 1, "f": 333333333333333334, "g": 3}
+
+
 def test_verify_single_n(capsys):
     code, out, _ = run_cli(capsys, "verify", "3", "--bound", "500")
     assert code == 0
@@ -289,6 +305,52 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "7", "--bound", "300")
     _, second, _ = run_cli(capsys, "verify", "7", "--bound", "300")
     assert first == second
+
+
+EXACT_STDOUT = (
+    (["hilbert", "-1", "3", "2", "--oracle"],
+     '{"command":"hilbert","inputs":{"alpha":-1,"beta":3,"place":"2"},'
+     '"outputs":{"agree":true,"k_star":5,"oracle":false,"value":-1},"witness":null}'),
+    (["quat-split", "-3", "3", "--witness", "10"],
+     '{"command":"quat-split","inputs":{"alpha":-3,"beta":3},'
+     '"outputs":{"split":true,"symbols":{"2":1,"3":1,"inf":1}},"witness":{"x":1,"y":1,"z":0}}'),
+    (["represent", "13", "29"],
+     '{"command":"represent","inputs":{"n":13,"q":29},"outputs":{"exists":true},"witness":{"x":4,"y":1}}'),
+    (["verify", "3", "--bound", "100"],
+     '{"command":"verify","inputs":{"bound":100,"n":3},"outputs":{"bound":100,"congruence_count":12,'
+     '"congruence_implies_split":true,"converse_failures":[],"converse_required":true,'
+     '"disagreements":[],"mandated_ok":true,"n":3,"primes_checked":24,"representation_count":12,'
+     '"representation_iff_congruence":true,"split_count":12,"split_implies_congruence":true},'
+     '"witness":null}'),
+    (["cyclo", "2", "3"],
+     '{"command":"cyclo","inputs":{"p":2,"q":3},"outputs":{"e":1,"f":2,"g":1},"witness":null}'),
+    (["power-char", "2", "7", "3"],
+     '{"command":"power-char","inputs":{"alpha":2,"p":7,"q":3},'
+     '"outputs":{"ideal_factor":[3,1],"value":1},"witness":null}'),
+    (["kummer", "2", "7", "3"],
+     '{"command":"kummer","inputs":{"alpha":2,"p":7,"q":3},"outputs":{"splitting":"inert"},"witness":null}'),
+    (["norm", "2", "7", "3", "2"],
+     '{"command":"norm","inputs":{"alpha":2,"l":2,"p":7,"q":3},"outputs":{"case":'
+     '"split_base_char_nontrivial","f_prime":1,"f_rel":3,"is_norm":true,"m":6},"witness":null}'),
+)
+
+
+def test_exact_stdout_of_every_subcommand(capsys):
+    for argv, line in EXACT_STDOUT:
+        assert run_cli(capsys, *argv) == (0, line + "\n", ""), argv
+
+
+def test_exact_pretty_text(capsys):
+    code, out, _ = run_cli(capsys, "quat-split", "-3", "3", "--witness", "10", "--pretty")
+    assert code == 0
+    assert out == (
+        "quat-split:\n"
+        "  in  alpha = -3\n"
+        "  in  beta = 3\n"
+        "  out split = True\n"
+        "  out symbols = {'inf': 1, '2': 1, '3': 1}\n"
+        "  witness = {'x': 1, 'y': 1, 'z': 0}\n"
+    )
 
 
 def test_record_roundtrip():
