@@ -17,6 +17,7 @@ validated a prime pays for the check once, not once per call.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 
 # The trial divisors and then the Miller-Rabin bases: exact for all
@@ -121,16 +122,18 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Some x with x*x == a (mod p), or None if a is not a square mod p.
 
     p must be prime; it is not checked.  Tonelli-Shanks (Cohen, *A Course in
-    Computational Algebraic Number Theory*, Alg. 1.5.1): one exponentiation
-    when p = 3 (mod 4), otherwise a walk down the 2-power part of p - 1.
+    Computational Algebraic Number Theory*, Alg. 1.5.1): when p = 3 (mod 4),
+    one exponentiation whose square is checked against a; otherwise Euler's
+    criterion and a walk down the 2-power part of p - 1.
     """
     a %= p
     if a < 2 or p == 2:
         return a
+    if p % 4 == 3:
+        x = pow(a, (p + 1) // 4, p)
+        return x if x * x % p == a else None
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * t, t odd
     t = (p - 1) >> s
     z = 2
@@ -208,4 +211,4 @@ def primes_up_to(bound: int) -> list[int]:
     for i in range(2, isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, b in enumerate(sieve) if b]
+    return list(compress(range(bound + 1), sieve))

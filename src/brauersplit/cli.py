@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -212,9 +213,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     out = getattr(args, "out", None)  # only verify defines --out
     failed = False
+    records = args.func(args)
     try:
+        # the handlers validate before their first yield, so a usage error
+        # is raised here, before --out is opened and truncated
+        first = next(records)
         with open(out, "w") if out else contextlib.nullcontext() as out_file:
-            for inputs, outputs, witness in args.func(args):
+            for inputs, outputs, witness in itertools.chain([first], records):
                 record = ReportRecord(args.command, inputs, outputs, witness)
                 print(record.pretty() if args.pretty else record.to_json())
                 if out_file is not None:

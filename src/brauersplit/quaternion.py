@@ -13,6 +13,7 @@ for every n.  `verify_equivalence` sweeps a prime range and checks split,
 printed classes and representation against each other.  Its rows know that q
 is an odd prime, so they read the symbols at the known places of (-n, q) and
 solve for the representation with `_cornacchia`, validating nothing per row.
+The symbols at inf, 2 and the primes of n are read once per class mod 8n.
 """
 
 from __future__ import annotations
@@ -212,15 +213,21 @@ def _equivalence_rows(n: int, qs: list[int]) -> list[tuple[int, bool, bool, bool
     # primes of n and q: the same ones hilbert_product would find by factoring.
     places = [0, 2] + odd_prime_divisors(n)
     admits = CRITERIA[n].admits
-    return [
-        (
-            q,
-            _local_symbol(-n, q, q) == 1 and all(_local_symbol(-n, q, p) == 1 for p in places),
-            admits(q),
-            _cornacchia(n, q) is not None,
-        )
-        for q in qs
-    ]
+    # The symbols at inf, 2 and p | n depend only on q mod 8n, so they are
+    # read once per class.  Every n is squarefree: at inf the symbol is +1
+    # (q > 0), at 2 its exponent reads q mod 8, at an odd p | n it is (q/p),
+    # and a prime q | n is the only prime in its class.
+    fixed_ok: dict[int, bool] = {}
+    modulus = 8 * n
+    rows = []
+    for q in qs:
+        c = q % modulus
+        ok = fixed_ok.get(c)
+        if ok is None:
+            ok = fixed_ok[c] = all(_local_symbol(-n, q, p) == 1 for p in places)
+        split = ok and _local_symbol(-n, q, q) == 1
+        rows.append((q, split, admits(q), _cornacchia(n, q) is not None))
+    return rows
 
 
 def verify_equivalence(n: int, bound: int) -> EquivalenceReport:

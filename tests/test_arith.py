@@ -194,9 +194,17 @@ def test_sqrt_mod_against_table_of_squares():
             r = sqrt_mod(a, p)
             if a in roots:
                 assert r is not None and r * r % p == a
+                # the root is pinned, so `represent` records cannot drift
+                assert p % 4 != 3 or r == pow(a, (p + 1) // 4, p), (a, p)
             else:
                 assert r is None
         assert sqrt_mod(-1 - p, p) == sqrt_mod(p - 1, p)
+
+
+def test_primes_up_to_small_bounds():
+    for bound in (0, 1, 2, 3, 49, 50):
+        trial = [m for m in range(2, bound + 1) if all(m % d for d in range(2, isqrt(m) + 1))]
+        assert primes_up_to(bound) == trial, bound
 
 
 def test_sqrt_mod_with_deep_two_power():

@@ -240,6 +240,16 @@ def test_verify_out_to_missing_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_verify_usage_error_keeps_existing_out_file(tmp_path, capsys):
+    # the arguments are validated before --out is opened for writing
+    target = tmp_path / "report.jsonl"
+    target.write_bytes(b"kept\n")
+    for argv in (("4", "--bound", "10"), ("3", "--bound", "2")):
+        code, out, err = run_cli(capsys, "verify", *argv, "--out", str(target))
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+        assert target.read_bytes() == b"kept\n", argv
+
+
 def test_verify_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, "verify", "4", "--bound", "100")
     assert code == 2

@@ -1,9 +1,11 @@
 import time
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brauersplit.arith import is_prime, primes_up_to
+from brauersplit.arith import is_prime, odd_prime_divisors, primes_up_to
 from brauersplit.quaternion import (
     CONVERSE_PROVEN,
     CRITERIA,
@@ -234,10 +236,16 @@ def test_verify_equivalence_rejects_bad_input():
 
 
 def test_sweep_rows_match_the_public_decisions():
-    # the rows read symbols at places found once per n and call Cornacchia
-    # unchecked; they must agree with the checked public path
+    # the rows read the symbols at inf, 2 and p | n once per class mod 8n
+    # and call Cornacchia unchecked; they must agree with the checked public
+    # path, also for the primes q | n, which sit in classes of their own
+    qs = [q for q in primes_up_to(3000) if q != 2]
     for n in SUPPORTED_N:
-        for q, split, _, rep in _equivalence_rows(n, ODD_PRIMES):
+        per_class = Counter(q % (8 * n) for q in qs)
+        units = [c for c in range(8 * n) if gcd(c, 8 * n) == 1]
+        assert all(per_class[c] >= 2 for c in units), n  # every entry is reused
+        assert all(q in qs for q in odd_prime_divisors(n))
+        for q, split, _, rep in _equivalence_rows(n, qs):
             assert split == is_split_quaternion_Q(QuaternionAlgebra(-n, q)), (n, q)
             assert rep == (represent(n, q) is not None), (n, q)
 
