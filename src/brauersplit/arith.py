@@ -212,3 +212,31 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return list(compress(range(bound + 1), sieve))
+
+
+def _odd_prime_segments(bound: int, size: int):
+    """Yield (lo, hi, primes) for consecutive segments [lo, hi) covering
+    3..bound, with primes the sorted odd primes in the segment.
+
+    Segmented sieve of Eratosthenes over the odd numbers: the base primes up
+    to isqrt(bound) are sieved once, and each segment holds at most size
+    numbers, so memory is O(sqrt(bound) + size) whatever the bound.
+    """
+    base = primes_up_to(isqrt(bound))[1:]
+    for lo in range(3, bound + 1, size):
+        hi = min(lo + size, bound + 1)
+        start = lo | 1  # the first odd number of the segment
+        count = (hi - start + 1) // 2
+        flags = bytearray([1]) * count
+        for p in base:
+            m = p * p
+            if m >= hi:
+                break
+            if m < start:
+                m = (start + p - 1) // p * p
+                if m % 2 == 0:  # only odd multiples are in the segment
+                    m += p
+            i = (m - start) // 2
+            if i < count:  # p may have no odd multiple in a short segment
+                flags[i::p] = bytes((count - 1 - i) // p + 1)
+        yield lo, hi, list(compress(range(start, hi, 2), flags))

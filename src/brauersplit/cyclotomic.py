@@ -258,6 +258,13 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _check_order(q: int) -> int:
+    # require_prime once per distinct q, not on every ring operation; a bad q
+    # raises and so is never cached
+    return require_prime(q, odd=True)
+
+
 @dataclass(frozen=True)
 class CyclotomicInt:
     """Element of Z[zeta_q] with coordinates in the basis 1, zeta, ...,
@@ -267,7 +274,7 @@ class CyclotomicInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        require_prime(self.q, odd=True)
+        _check_order(self.q)
         if len(self.coeffs) != self.q - 1:
             raise ValueError(f"need {self.q - 1} coefficients, got {len(self.coeffs)}")
 

@@ -10,10 +10,10 @@ iff it falls in them.  For n = 14 the class number of discriminant -56 is 4,
 and the printed classes describe only the principal genus
 {x^2 + 14*y^2, 2*x^2 + 7*y^2}; `representation_criterion` is the exact test
 for every n.  `verify_equivalence` sweeps a prime range and checks split,
-printed classes and representation against each other.  Its rows know that q
-is an odd prime, so they read the symbols at the known places of (-n, q) and
-solve for the representation with `_cornacchia`, validating nothing per row.
-The symbols at inf, 2 and the primes of n are read once per class mod 8n.
+printed classes and representation against each other in one streaming pass,
+with memory flat in the bound: split is read once per class mod 8n by Hilbert
+reciprocity, and representability from the values of x^2 + n*y^2 enumerated
+per segment of the sieve, never from the split column.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from math import isqrt
 
-from .arith import legendre_symbol, odd_prime_divisors, primes_up_to, require_prime, sqrt_mod
+from .arith import _odd_prime_segments, legendre_symbol, odd_prime_divisors, require_prime, sqrt_mod
 from .padic import _local_symbol, hilbert_product
 
 # n values whose converse (split implies congruence) is established; for the
@@ -208,53 +208,84 @@ class EquivalenceReport:
         }
 
 
-def _equivalence_rows(n: int, qs: list[int]) -> list[tuple[int, bool, bool, bool]]:
-    # Every q is an odd prime, so the places of (-n, q) are inf, 2, the odd
-    # primes of n and q: the same ones hilbert_product would find by factoring.
+def _represented(n: int, lo: int, hi: int, squares: list[int]) -> set[int]:
+    # The odd values x^2 + n*y^2 in [lo, hi) with x >= 0, y >= 1; squares
+    # holds x^2 for x up to isqrt(hi - 1).  A prime is x^2 + n*y^2 only with
+    # y >= 1, and q = n only as 0^2 + n*1^2, as in _cornacchia.
+    values: set[int] = set()
+    y = 1
+    while (ny2 := n * y * y) < hi:
+        x = isqrt(lo - ny2 - 1) + 1 if lo > ny2 else 0
+        x += (x + ny2 + 1) % 2  # x^2 + ny2 odd
+        values.update(map(ny2.__add__, squares[x : isqrt(hi - 1 - ny2) + 1 : 2]))
+        y += 1
+    return values
+
+
+def _equivalence_rows(n: int, bound: int, size: int):
+    """Yield (q, split, congruence, representable) for every odd prime
+    q <= bound, sieving size numbers at a time."""
+    # The places of (-n, q) are inf, 2, the odd primes of n and q.  The
+    # symbols at inf, 2 and p | n depend only on q mod 8n (n is squarefree: at
+    # inf the symbol is +1, at 2 its exponent reads q mod 8, at an odd p | n
+    # it is (q/p)), so they are read once per class.  By Hilbert reciprocity
+    # the symbols at all places multiply to +1, so for q not dividing 2n the
+    # symbol at q is +1 exactly when those are, and the class entry is the
+    # verdict.  A prime q | n is already among the places and is alone in its
+    # class.  Representability reads nothing of this: each segment lists the
+    # values of x^2 + n*y^2 that fall in it.
     places = [0, 2] + odd_prime_divisors(n)
     admits = CRITERIA[n].admits
-    # The symbols at inf, 2 and p | n depend only on q mod 8n, so they are
-    # read once per class.  Every n is squarefree: at inf the symbol is +1
-    # (q > 0), at 2 its exponent reads q mod 8, at an odd p | n it is (q/p),
-    # and a prime q | n is the only prime in its class.
-    fixed_ok: dict[int, bool] = {}
     modulus = 8 * n
-    rows = []
-    for q in qs:
-        c = q % modulus
-        ok = fixed_ok.get(c)
-        if ok is None:
-            ok = fixed_ok[c] = all(_local_symbol(-n, q, p) == 1 for p in places)
-        split = ok and _local_symbol(-n, q, q) == 1
-        rows.append((q, split, admits(q), _cornacchia(n, q) is not None))
-    return rows
+    split_of: list[bool | None] = [None] * modulus
+    squares = [x * x for x in range(isqrt(bound) + 1)]
+    for lo, hi, primes in _odd_prime_segments(bound, size):
+        reps = _represented(n, lo, hi, squares)
+        for q in primes:
+            c = q % modulus
+            split = split_of[c]
+            if split is None:
+                split = split_of[c] = all(_local_symbol(-n, q, p) == 1 for p in places)
+            yield q, split, admits(q), q in reps
 
 
 def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
     """Check split / congruence / representation against each other for every
-    odd prime q <= bound."""
+    odd prime q <= bound.
+
+    One pass over the primes in segments of max(isqrt(bound), 2^15) numbers;
+    no list of primes or rows is kept, so memory beyond the reported primes
+    is O(sqrt(bound)) plus one segment."""
     if n not in CRITERIA:
         raise ValueError(f"n={n} unsupported; expected one of {SUPPORTED_N}")
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    rows = _equivalence_rows(n, [q for q in primes_up_to(bound) if q != 2])
-
-    disagreements = tuple(q for q, s, c, r in rows if not (s == c == r))
-    repr_iff_cong = all(r == c for _, _, c, r in rows)
-    cong_implies_split = all(s for _, s, c, _ in rows if c)
-    split_implies_cong = all(c for _, s, c, _ in rows if s)
-    converse_failures = tuple(q for q, s, c, _ in rows if s and not c)
+    checked = split_count = congruence_count = representation_count = 0
+    disagreements: list[int] = []
+    converse_failures: list[int] = []
+    repr_iff_cong = cong_implies_split = True
+    for q, s, c, r in _equivalence_rows(n, bound, max(isqrt(bound), 1 << 15)):
+        checked += 1
+        split_count += s
+        congruence_count += c
+        representation_count += r
+        if not s == c == r:
+            disagreements.append(q)
+            repr_iff_cong = repr_iff_cong and r == c
+            cong_implies_split = cong_implies_split and (s or not c)
+            if s and not c:
+                converse_failures.append(q)
     return EquivalenceReport(
         n=n,
         bound=bound,
-        primes_checked=len(rows),
-        split_count=sum(1 for _, s, _, _ in rows if s),
-        congruence_count=sum(1 for _, _, c, _ in rows if c),
-        representation_count=sum(1 for _, _, _, r in rows if r),
-        disagreements=disagreements,
+        primes_checked=checked,
+        split_count=split_count,
+        congruence_count=congruence_count,
+        representation_count=representation_count,
+        disagreements=tuple(disagreements),
         representation_iff_congruence=repr_iff_cong,
         congruence_implies_split=cong_implies_split,
-        split_implies_congruence=split_implies_cong,
+        split_implies_congruence=not converse_failures,
         converse_required=n in CONVERSE_PROVEN,
-        converse_failures=converse_failures,
+        converse_failures=tuple(converse_failures),
     )

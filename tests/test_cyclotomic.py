@@ -74,6 +74,20 @@ def test_mixed_orders_rejected():
         cyclo_add(CyclotomicInt.from_int(3, 1), CyclotomicInt.from_int(5, 1))
 
 
+def test_bad_order_rejected_every_time():
+    # q is checked once per distinct q, so a bad q must raise on every
+    # construction, before and after good ones, and never be remembered
+    for _ in range(2):
+        for q in (1, 2, 9, 15, 561):
+            with pytest.raises(ValueError):
+                CyclotomicInt(q, (0,) * (q - 1))
+            with pytest.raises(ValueError):
+                cyclo_reduce(q, [1, 2])
+        assert CyclotomicInt.from_int(7, 1) + CyclotomicInt.zeta(7) == cyclo_reduce(7, [1, 1])
+    with pytest.raises(ValueError):
+        CyclotomicInt(7, (1, 2))  # the length is still checked each time
+
+
 def test_reduce_folds_exponents():
     # overlong vectors wrap: zeta^q = 1 and zeta^(q+1) = zeta
     for q in (3, 5, 7):

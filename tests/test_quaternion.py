@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -236,8 +237,9 @@ def test_verify_equivalence_rejects_bad_input():
 
 
 def test_sweep_rows_match_the_public_decisions():
-    # the rows read the symbols at inf, 2 and p | n once per class mod 8n
-    # and call Cornacchia unchecked; they must agree with the checked public
+    # the rows read the symbols at inf, 2 and p | n once per class mod 8n,
+    # take split from the class entry by reciprocity and representability
+    # from the values of x^2 + n*y^2; they must agree with the checked public
     # path, also for the primes q | n, which sit in classes of their own
     qs = [q for q in primes_up_to(3000) if q != 2]
     for n in SUPPORTED_N:
@@ -245,9 +247,35 @@ def test_sweep_rows_match_the_public_decisions():
         units = [c for c in range(8 * n) if gcd(c, 8 * n) == 1]
         assert all(per_class[c] >= 2 for c in units), n  # every entry is reused
         assert all(q in qs for q in odd_prime_divisors(n))
-        for q, split, _, rep in _equivalence_rows(n, qs):
+        rows = list(_equivalence_rows(n, 3000, 3000))
+        assert [row[0] for row in rows] == qs
+        for q, split, _, rep in rows:
             assert split == is_split_quaternion_Q(QuaternionAlgebra(-n, q)), (n, q)
             assert rep == (represent(n, q) is not None), (n, q)
+
+
+@pytest.mark.parametrize("size", [1, 7, 64])
+def test_sweep_rows_do_not_depend_on_the_segment_length(size):
+    # below 2^15 verify_equivalence sieves in one segment, the rows the test
+    # above checks; short segments put primes, multiples of the base primes
+    # and values x^2 + n*y^2 at every segment edge
+    for n in SUPPORTED_N:
+        assert list(_equivalence_rows(n, 3000, size)) == list(_equivalence_rows(n, 3000, 3000)), n
+
+
+def test_sweep_memory_is_flat_in_the_bound():
+    # the sweep keeps no list of primes or rows: for n = 3 nothing but the
+    # counts grows with the bound (there are no disagreements to report)
+    peaks = []
+    for bound in (10**5, 10**6):
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(3, bound)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report.disagreements == () and report.mandated_ok
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 @settings(max_examples=30)
