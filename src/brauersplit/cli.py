@@ -53,7 +53,7 @@ class ReportRecord:
     witness: object = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
 
     def pretty(self) -> str:
         lines = [f"{self.command}:"]

@@ -11,14 +11,16 @@ and the printed classes describe only the principal genus
 {x^2 + 14*y^2, 2*x^2 + 7*y^2}; `representation_criterion` is the exact test
 for every n.  `verify_equivalence` sweeps a prime range and checks split,
 printed classes and representation against each other in one streaming pass,
-with memory flat in the bound: split is read once per class mod 8n by Hilbert
-reciprocity, and representability from the values of x^2 + n*y^2 enumerated
-per segment of the sieve, never from the split column.
+with memory flat in the bound: split (by Hilbert reciprocity) and congruence
+are read once per class mod 8n from the residue, and representability from
+the values of x^2 + n*y^2 enumerated per segment of the sieve.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import cache
+from itertools import compress
 from math import isqrt
 
 from .arith import _odd_prime_segments, legendre_symbol, odd_prime_divisors, require_prime, sqrt_mod
@@ -201,7 +203,7 @@ class EquivalenceReport:
 
     def to_dict(self) -> dict:
         return {
-            **asdict(self),
+            **vars(self),
             "disagreements": list(self.disagreements),
             "converse_failures": list(self.converse_failures),
             "mandated_ok": self.mandated_ok,
@@ -222,31 +224,37 @@ def _represented(n: int, lo: int, hi: int, squares: list[int]) -> set[int]:
     return values
 
 
-def _equivalence_rows(n: int, bound: int, size: int):
-    """Yield (q, split, congruence, representable) for every odd prime
-    q <= bound, sieving size numbers at a time."""
-    # The places of (-n, q) are inf, 2, the odd primes of n and q.  The
-    # symbols at inf, 2 and p | n depend only on q mod 8n (n is squarefree: at
-    # inf the symbol is +1, at 2 its exponent reads q mod 8, at an odd p | n
-    # it is (q/p)), so they are read once per class.  By Hilbert reciprocity
-    # the symbols at all places multiply to +1, so for q not dividing 2n the
-    # symbol at q is +1 exactly when those are, and the class entry is the
-    # verdict.  A prime q | n is already among the places and is alone in its
-    # class.  Representability reads nothing of this: each segment lists the
-    # values of x^2 + n*y^2 that fall in it.
+@cache
+def _class_codes(n: int) -> bytes:
+    """4*split + 2*congruence of the odd primes q == c (mod 8n), for each c."""
+    # The places of (-n, q) are inf, 2, the odd p | n and q.  For squarefree n
+    # the symbols at inf (+1), at 2 (its exponent reads q mod 8) and at p | n
+    # ((q/p)) depend only on q mod 8n, so they are read from c.  By Hilbert
+    # reciprocity all symbols multiply to +1, so for q not dividing 2n the class
+    # entry is the verdict.  A prime q | n is a place and alone in its class.
+    # Every CRITERIA modulus divides 8n and every special prime divides n, so
+    # the congruence is read from c too.  An even c holds no odd prime.
     places = [0, 2] + odd_prime_divisors(n)
     admits = CRITERIA[n].admits
+    return bytes(
+        4 * all(_local_symbol(-n, c, p) == 1 for p in places) + 2 * admits(c) if c % 2 else 0
+        for c in range(8 * n))
+
+
+def _segment_codes(n: int, bound: int, size: int):
+    """Yield (primes, codes) for the odd primes q <= bound, size numbers at a
+    time: codes[i] = 4*split + 2*congruence + representable for primes[i]."""
+    table = _class_codes(n)
     modulus = 8 * n
-    split_of: list[bool | None] = [None] * modulus
     squares = [x * x for x in range(isqrt(bound) + 1)]
     for lo, hi, primes in _odd_prime_segments(bound, size):
-        reps = _represented(n, lo, hi, squares)
-        for q in primes:
-            c = q % modulus
-            split = split_of[c]
-            if split is None:
-                split = split_of[c] = all(_local_symbol(-n, q, p) == 1 for p in places)
-            yield q, split, admits(q), q in reps
+        reps = _represented(n, lo, hi, squares)  # reads nothing of the table
+        yield primes, bytes([table[q % modulus] + (q in reps) for q in primes])
+
+
+# bytes.translate tables: 1 at the codes of a disagreement, of a converse failure
+_DISAGREEMENT = bytes([0, 1, 1, 1, 1, 1, 1, 0]) + bytes(248)
+_CONVERSE_FAILURE = bytes([0, 0, 0, 0, 1, 1, 0, 0]) + bytes(248)
 
 
 def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
@@ -260,31 +268,23 @@ def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
         raise ValueError(f"n={n} unsupported; expected one of {SUPPORTED_N}")
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    checked = split_count = congruence_count = representation_count = 0
+    counts = [0] * 8  # primes per code 4*split + 2*congruence + representable
     disagreements: list[int] = []
     converse_failures: list[int] = []
-    repr_iff_cong = cong_implies_split = True
-    for q, s, c, r in _equivalence_rows(n, bound, max(isqrt(bound), 1 << 15)):
-        checked += 1
-        split_count += s
-        congruence_count += c
-        representation_count += r
-        if not s == c == r:
-            disagreements.append(q)
-            repr_iff_cong = repr_iff_cong and r == c
-            cong_implies_split = cong_implies_split and (s or not c)
-            if s and not c:
-                converse_failures.append(q)
+    for primes, codes in _segment_codes(n, bound, max(isqrt(bound), 1 << 15)):
+        counts = [total + codes.count(k) for k, total in enumerate(counts)]
+        disagreements += compress(primes, codes.translate(_DISAGREEMENT))
+        converse_failures += compress(primes, codes.translate(_CONVERSE_FAILURE))
     return EquivalenceReport(
         n=n,
         bound=bound,
-        primes_checked=checked,
-        split_count=split_count,
-        congruence_count=congruence_count,
-        representation_count=representation_count,
+        primes_checked=sum(counts),
+        split_count=sum(counts[4:]),
+        congruence_count=sum(counts[2:4] + counts[6:]),
+        representation_count=sum(counts[1::2]),
         disagreements=tuple(disagreements),
-        representation_iff_congruence=repr_iff_cong,
-        congruence_implies_split=cong_implies_split,
+        representation_iff_congruence=not (counts[1] + counts[2] + counts[5] + counts[6]),
+        congruence_implies_split=not (counts[2] + counts[3]),
         split_implies_congruence=not converse_failures,
         converse_required=n in CONVERSE_PROVEN,
         converse_failures=tuple(converse_failures),

@@ -18,7 +18,7 @@ from brauersplit.quaternion import (
     represent,
     representation_criterion,
     split_over_odd_degree_field,
-    _equivalence_rows,
+    _segment_codes,
     verify_equivalence,
 )
 from represent_reference import scan_represent
@@ -236,9 +236,28 @@ def test_verify_equivalence_rejects_bad_input():
         verify_equivalence(3, 2)
 
 
+def _sweep_rows(n, bound, size):
+    # (q, split, congruence, representable) for every odd prime q <= bound,
+    # decoded from the segment codes 4*split + 2*congruence + representable
+    return [
+        (q, bool(k & 4), bool(k & 2), bool(k & 1))
+        for primes, codes in _segment_codes(n, bound, size)
+        for q, k in zip(primes, codes, strict=True)
+    ]
+
+
+def test_criteria_moduli_divide_8n():
+    # the sweep reads congruence once per class mod 8n from the residue c,
+    # which is exact only because q == c (mod 8n) fixes q mod every modulus
+    # and because a special prime, dividing n, is alone in its class
+    for n, crit in CRITERIA.items():
+        assert (8 * n) % crit.modulus == 0, n
+        assert all(n % p == 0 for p in crit.special_primes), n
+
+
 def test_sweep_rows_match_the_public_decisions():
-    # the rows read the symbols at inf, 2 and p | n once per class mod 8n,
-    # take split from the class entry by reciprocity and representability
+    # the rows read split and congruence once per class mod 8n (split by
+    # reciprocity from the symbols at inf, 2 and p | n) and representability
     # from the values of x^2 + n*y^2; they must agree with the checked public
     # path, also for the primes q | n, which sit in classes of their own
     qs = [q for q in primes_up_to(3000) if q != 2]
@@ -247,10 +266,11 @@ def test_sweep_rows_match_the_public_decisions():
         units = [c for c in range(8 * n) if gcd(c, 8 * n) == 1]
         assert all(per_class[c] >= 2 for c in units), n  # every entry is reused
         assert all(q in qs for q in odd_prime_divisors(n))
-        rows = list(_equivalence_rows(n, 3000, 3000))
+        rows = _sweep_rows(n, 3000, 3000)
         assert [row[0] for row in rows] == qs
-        for q, split, _, rep in rows:
+        for q, split, cong, rep in rows:
             assert split == is_split_quaternion_Q(QuaternionAlgebra(-n, q)), (n, q)
+            assert cong == congruence_criterion(n, q), (n, q)
             assert rep == (represent(n, q) is not None), (n, q)
 
 
@@ -260,7 +280,24 @@ def test_sweep_rows_do_not_depend_on_the_segment_length(size):
     # above checks; short segments put primes, multiples of the base primes
     # and values x^2 + n*y^2 at every segment edge
     for n in SUPPORTED_N:
-        assert list(_equivalence_rows(n, 3000, size)) == list(_equivalence_rows(n, 3000, 3000)), n
+        assert _sweep_rows(n, 3000, size) == _sweep_rows(n, 3000, 3000), n
+
+
+def test_report_is_the_fold_of_the_rows():
+    # verify_equivalence folds each segment with bytes.count and translate;
+    # the row-by-row fold is the reference
+    for n in SUPPORTED_N:
+        rows = _sweep_rows(n, 3000, 3000)
+        report = verify_equivalence(n, 3000)
+        assert report.primes_checked == len(rows)
+        assert report.split_count == sum(s for _, s, _, _ in rows)
+        assert report.congruence_count == sum(c for _, _, c, _ in rows)
+        assert report.representation_count == sum(r for _, _, _, r in rows)
+        assert report.disagreements == tuple(q for q, s, c, r in rows if not s == c == r)
+        assert report.converse_failures == tuple(q for q, s, c, _ in rows if s and not c)
+        assert report.representation_iff_congruence == all(r == c for _, _, c, r in rows)
+        assert report.congruence_implies_split == all(s for _, s, c, _ in rows if c)
+        assert report.split_implies_congruence == all(c for _, s, c, _ in rows if s)
 
 
 def test_sweep_memory_is_flat_in_the_bound():
