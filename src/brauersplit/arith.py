@@ -203,15 +203,11 @@ def odd_prime_divisors(n: int) -> list[int]:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """Primes <= bound by sieve of Eratosthenes."""
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return list(compress(range(bound + 1), sieve))
+    """Primes <= bound: 2, then the odd primes of one sieve segment."""
+    if bound < 3:
+        # also ends the base-prime recursion of _odd_prime_segments
+        return [2] if bound == 2 else []
+    return [2] + next(_odd_prime_segments(bound, bound))[2]
 
 
 def _odd_prime_segments(bound: int, size: int):

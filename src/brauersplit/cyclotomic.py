@@ -25,8 +25,8 @@ A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
 irreducible factor of Phi_q mod p.  By Kummer-Dedekind these are all the
 primes above p, so an ideal is valid iff g is in `factor_cyclotomic_mod_p`.
 The q-power residue character is evaluated in the residue field
-GF(p)[x]/(g), whose ring is built once per ideal, as one is built once per
-Cantor-Zassenhaus split step.  zeta maps to x, whose powers x^k, k < q, are
+GF(p)[x]/(g), whose ring is built once per ideal; Cantor-Zassenhaus builds
+one ring of Phi_q per (q, p).  zeta maps to x, whose powers x^k, k < q, are
 distinct as p != q, so the character zeta^k is read off as the k with xs[k]
 equal to the power.
 The ideal machinery is limited to q in {3, 5, 7, 11, 13, 17, 19}, where
@@ -35,7 +35,6 @@ Z[zeta_q] is a principal ideal domain.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -43,6 +42,10 @@ from functools import lru_cache
 from .arith import multiplicative_order, require_prime
 
 SUPPORTED_Q = (3, 5, 7, 11, 13, 17, 19)
+
+# Entries of each per-prime cache below: far above the 56 (p, q) pairs of a
+# benchmark round, at about 5 KB per ideal (q = 19, p near 10^12)
+_CACHE_SIZE = 1024
 
 
 class RamifiedPrimeError(ValueError):
@@ -162,9 +165,10 @@ class _PackedRing:
         # sum of (c mod p) x^(i s mod q) over coeffs[i], as x^q = 1 modulo
         # g | Phi_q: the image of an element of Z[zeta_q] at s = 1 (zeta to
         # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q.  At most q - 1
-        # terms below p^2 fit a slot: with f = ord(p mod q) <= n, q - 1 <=
-        # f^2 (p - 1) for every supported q and prime p != q (p = 1 mod q
-        # when f = 1; the primes p < 7 with f > 1 checked one by one)
+        # terms below p^2 fit a slot: n = q - 1 in the ring of Phi_q, and
+        # q - 1 <= f^2 (p - 1) in a residue ring, n = f = ord(p mod q), for
+        # every supported q and prime p != q (p = 1 mod q when f = 1;
+        # 4 (p - 1) >= 18 when f > 1 and p >= 7; tested for p < 10^5)
         q, xs, p = self.q, self.xs, self.p
         return self.reduce(sum(c % p * xs[i * s % q] for i, c in enumerate(coeffs) if c))
 
@@ -215,29 +219,7 @@ def _poly_from_index(n: int, p: int) -> list[int]:
     return digits
 
 
-def _split_equal_degree(h: list[int], d: int, p: int, q: int) -> list[list[int]]:
-    # h | Phi_q mod p is squarefree with all irreducible factors of degree d.
-    # Cantor-Zassenhaus, derandomized: trial elements are enumerated in a
-    # fixed order, so the factor list is reproducible.  Some trial always
-    # separates two factors (choose it by CRT), hence termination.
-    if len(h) - 1 == d:
-        return [h]
-    ring = _PackedRing(h, p, q)
-    # Constants never separate, so skip them.  Every residue mod h has degree
-    # < deg h, so some trial of degree < deg h separates, and the reduced
-    # digits of each trial before it pack into the ring as they are.
-    for n in itertools.count(p):
-        u = ring.pack(_poly_from_index(n, p))
-        # u^((p^d - 1)/m) - 1 with m = 2, or m = q | 2^d - 1 at p = 2; slot 0 stays below 2p
-        t = ring.power(u, 2 if p > 2 else q, d) + p - 1
-        w = poly_gcd(h, ring.unpack(ring.reduce(t)), p)
-        if 0 < len(w) - 1 < len(h) - 1:
-            break
-    rest = poly_divmod(h, w, p)[0]
-    return _split_equal_degree(w, d, p, q) + _split_equal_degree(rest, d, p, q)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducible factors of Phi_q mod p, sorted by coefficient
     sequence (constant term first).  Requires p != q.
@@ -249,7 +231,24 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     if p == q:
         raise RamifiedPrimeError(f"p = q = {p} is ramified in Z[zeta_{q}]")
     f = multiplicative_order(p, q)
-    factors = _split_equal_degree(cyclotomic_polynomial(q), f, p, q)
+    # Cantor-Zassenhaus, derandomized: for each trial u in a fixed order,
+    # t = u^((p^f - 1)/m) - 1 is taken once modulo Phi_q, which every factor
+    # h so far divides, and gcd(h, t) splits each h that t separates.
+    # Constants never separate; by CRT some u of degree < q - 1 separates
+    # any two factors, so every trial packs into the ring as it is.
+    phi = cyclotomic_polynomial(q)
+    ring = _PackedRing(phi, p, q)
+    factors, n = [phi], p
+    while len(factors) < (q - 1) // f:
+        u = ring.pack(_poly_from_index(n, p))
+        n += 1
+        # m = 2, or m = q | 2^f - 1 at p = 2; slot 0 stays below 2p
+        t = ring.unpack(ring.reduce(ring.power(u, 2 if p > 2 else q, f) + p - 1))
+        pieces = []
+        for h in factors:
+            w = poly_gcd(h, t, p)
+            pieces += [w, poly_divmod(h, w, p)[0]] if 0 < len(w) - 1 < len(h) - 1 else [h]
+        factors = pieces
     return tuple(sorted(tuple(g) for g in factors))
 
 
@@ -422,7 +421,7 @@ class PowerCharValue:
         return PowerCharValue.root(self.q, self.k + other.k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _residue_ring(ideal: PrimeIdealRep) -> _PackedRing:
     if ideal.q not in SUPPORTED_Q or ideal.g not in factor_cyclotomic_mod_p(ideal.q, ideal.p):
         raise ValueError(f"{ideal}: need q in {SUPPORTED_Q} and g a factor of Phi_q mod p")

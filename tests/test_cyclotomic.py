@@ -18,6 +18,7 @@ from brauersplit.cyclotomic import (
     RamifiedPrimeError,
     SplittingClass,
     _PackedRing,
+    _residue_ring,
     cyclo_add,
     cyclo_mul,
     cyclo_reduce,
@@ -171,6 +172,16 @@ def test_frobenius_power_matches_pow_mod():
                         assert ring.unpack(got) == want, (u, m, h, q, p)
 
 
+def test_image_slot_bound_holds_in_residue_rings():
+    # a residue ring has n = f slots sized for n^2 (p - 1)^3, and `image`
+    # sums up to q - 1 terms below p^2 into one
+    for q in SUPPORTED_Q:
+        for p in primes_up_to(10**5):
+            if p != q:
+                f = multiplicative_order(p, q)
+                assert q - 1 <= f * f * (p - 1), (q, p)
+
+
 def test_short_dividend_is_reduced_and_trimmed():
     # deg f < deg g: no division step runs, yet the remainder is still a
     # canonical residue, so equal classes compare equal
@@ -291,33 +302,47 @@ def test_find_prime_ideal_rejects():
 
 
 def test_factorization_is_complete_and_irreducible():
-    for q in SUPPORTED_Q:
-        for p in primes_up_to(50):
-            if p == q:
-                continue
-            f = multiplicative_order(p, q)
-            factors = factor_cyclotomic_mod_p(q, p)
-            assert len(factors) == (q - 1) // f
-            # product reconstructs Phi_q mod p
-            prod = [1]
-            for g in factors:
-                assert len(g) - 1 == f
-                assert g[-1] == 1
-                prod = poly_mul(prod, list(g), p)
-            assert prod == [c % p for c in cyclotomic_polynomial(q)]
-            # irreducibility: x^(p^d) != x mod g for d < f, == for d = f
-            for g in factors:
-                gl = list(g)
-                xr = poly_mod([0, 1], gl, p)
-                x = xr
-                for d in range(1, f + 1):
-                    x = _frob(x, gl, p)
-                    assert (x == xr) == (d == f)
+    # p < 50, then the full splits p = 1 mod q at q = 13, 17, 19, the m = q
+    # path at p = 2 for q = 23, and f = 1, 2, 18 at q = 19 near 10^12
+    cases = [(q, p) for q in SUPPORTED_Q for p in primes_up_to(50) if p != q] + [
+        (13, 53), (13, 79), (17, 103), (17, 137), (19, 191), (19, 229), (23, 2),
+        (19, 1000000001419), (19, 1000000000163), (19, 1000000000063)]
+    for q, p in cases:
+        f = multiplicative_order(p, q)
+        factors = factor_cyclotomic_mod_p(q, p)
+        assert len(factors) == (q - 1) // f
+        # product reconstructs Phi_q mod p
+        prod = [1]
+        for g in factors:
+            assert len(g) - 1 == f
+            assert g[-1] == 1
+            prod = poly_mul(prod, list(g), p)
+        assert prod == [c % p for c in cyclotomic_polynomial(q)]
+        # irreducibility: x^(p^d) != x mod g for d < f, == for d = f
+        for g in factors:
+            gl = list(g)
+            xr = poly_mod([0, 1], gl, p)
+            x = xr
+            for d in range(1, f + 1):
+                x = _frob(x, gl, p)
+                assert (x == xr) == (d == f)
+    assert [multiplicative_order(p, q) for q, p in cases[-4:]] == [11, 1, 2, 18]
 
 
 def _frob(poly, g, p):
     # poly^p mod g
     return schoolbook_pow_mod(poly, p, g, p)
+
+
+def test_per_prime_caches_are_bounded():
+    # characters above more distinct primes than the caches hold leave both
+    # caches full at their bound, not grown past it
+    primes = [p for p in primes_up_to(10**4) if p != 3]
+    for p in primes:
+        power_residue_character(2, find_prime_ideal(p, 3))
+    for cache in (factor_cyclotomic_mod_p, _residue_ring):
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize < len(primes)
 
 
 def test_factor_list_is_sorted():
