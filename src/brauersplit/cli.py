@@ -106,7 +106,7 @@ def _cmd_quat_split(args):
             if point is None:
                 outputs["witness_note"] = f"inconclusive within bound {args.witness}"
             else:
-                witness = {"x": point.x, "y": point.y, "z": point.z}
+                witness = vars(point)
         else:
             outputs["witness_note"] = "no rational point exists (division algebra)"
     yield {"alpha": algebra.a, "beta": algebra.b}, outputs, witness
@@ -114,7 +114,7 @@ def _cmd_quat_split(args):
 
 def _cmd_represent(args):
     rep = represent(args.n, args.q)
-    witness = None if rep is None else {"x": rep.x, "y": rep.y}
+    witness = None if rep is None else vars(rep)
     yield {"n": args.n, "q": args.q}, {"exists": rep is not None}, witness
 
 
@@ -127,7 +127,7 @@ def _cmd_verify(args):
 
 def _cmd_cyclo(args):
     dec = cyclotomic_decomposition(args.p, args.q)
-    yield {"p": args.p, "q": args.q}, {"e": dec.e, "f": dec.f, "g": dec.g}, None
+    yield {"p": args.p, "q": args.q}, vars(dec), None
 
 
 def _cmd_power_char(args):
@@ -149,13 +149,7 @@ def _cmd_norm(args):
     trace = symbol_algebra_norm_trace(
         SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=args.q, l=args.l)
     )
-    outputs = {
-        "case": trace.case.value,
-        "f_prime": trace.f_prime,
-        "f_rel": trace.f_rel,
-        "m": trace.m,
-        "is_norm": trace.is_norm,
-    }
+    outputs = {**vars(trace), "case": trace.case.value}
     yield {"alpha": args.alpha, "p": args.p, "q": args.q, "l": args.l}, outputs, None
 
 

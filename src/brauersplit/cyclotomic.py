@@ -115,8 +115,9 @@ class _PackedRing:
     def __init__(self, g: list[int], p: int, q: int = 0):
         n = len(g) - 1
         self.p, self.q = p, q
-        # w holds every unreduced slot, which stays below n^2 (p-1)^3
-        self.w = w = (n * n * (p - 1) ** 3).bit_length()
+        # w holds every unreduced slot: a folded product, below n^2 (p-1)^3,
+        # and `image`'s sum of fewer than q terms, each at most (p-1)^2
+        self.w = w = (max(n * n * (p - 1), q) * (p - 1) ** 2).bit_length()
         self.slot = (1 << w) - 1
         self.lomask = (1 << (n * w)) - 1
         self.low = range(0, n * w, w)
@@ -164,11 +165,7 @@ class _PackedRing:
     def image(self, coeffs, s: int = 1) -> int:
         # sum of (c mod p) x^(i s mod q) over coeffs[i], as x^q = 1 modulo
         # g | Phi_q: the image of an element of Z[zeta_q] at s = 1 (zeta to
-        # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q.  At most q - 1
-        # terms below p^2 fit a slot: n = q - 1 in the ring of Phi_q, and
-        # q - 1 <= f^2 (p - 1) in a residue ring, n = f = ord(p mod q), for
-        # every supported q and prime p != q (p = 1 mod q when f = 1;
-        # 4 (p - 1) >= 18 when f > 1 and p >= 7; tested for p < 10^5)
+        # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q
         q, xs, p = self.q, self.xs, self.p
         return self.reduce(sum(c % p * xs[i * s % q] for i, c in enumerate(coeffs) if c))
 
@@ -226,17 +223,18 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
 
     Every factor has degree f = ord(p mod q) and there are (q-1)/f of them.
     """
-    require_prime(q)
+    phi = cyclotomic_polynomial(q)  # validates q
     require_prime(p)
     if p == q:
         raise RamifiedPrimeError(f"p = q = {p} is ramified in Z[zeta_{q}]")
     f = multiplicative_order(p, q)
+    if f == q - 1:  # Phi_q itself is irreducible
+        return (tuple(phi),)
     # Cantor-Zassenhaus, derandomized: for each trial u in a fixed order,
     # t = u^((p^f - 1)/m) - 1 is taken once modulo Phi_q, which every factor
     # h so far divides, and gcd(h, t) splits each h that t separates.
     # Constants never separate; by CRT some u of degree < q - 1 separates
     # any two factors, so every trial packs into the ring as it is.
-    phi = cyclotomic_polynomial(q)
     ring = _PackedRing(phi, p, q)
     factors, n = [phi], p
     while len(factors) < (q - 1) // f:

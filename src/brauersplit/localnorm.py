@@ -93,21 +93,14 @@ def symbol_algebra_norm_trace(query: SymbolAlgebraQuery) -> SplitTrace:
     f_prime = ideal.residue_degree
     chi = power_residue_character(query.alpha, ideal)
     m = q * query.l
+    f_rel = None if chi.is_zero else 1 if chi.is_trivial else q
     if chi.is_zero:
-        return SplitTrace(
-            case=NormTraceCase.RAMIFIED, f_prime=f_prime, f_rel=None, m=m, is_norm=None
-        )
-    f_rel = 1 if chi.is_trivial else q
-    if f_prime == q - 1:
+        case = NormTraceCase.RAMIFIED
+    elif f_prime == q - 1:
         case = NormTraceCase.INERT_BASE
     elif chi.is_trivial:
         case = NormTraceCase.SPLIT_BASE_CHAR_ONE
     else:
         case = NormTraceCase.SPLIT_BASE_CHAR_NONTRIVIAL
-    return SplitTrace(
-        case=case,
-        f_prime=f_prime,
-        f_rel=f_rel,
-        m=m,
-        is_norm=is_norm_unramified(NormQuestion(m=m, f=f_rel)),
-    )
+    is_norm = None if f_rel is None else is_norm_unramified(NormQuestion(m=m, f=f_rel))
+    return SplitTrace(case=case, f_prime=f_prime, f_rel=f_rel, m=m, is_norm=is_norm)

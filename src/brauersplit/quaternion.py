@@ -141,17 +141,12 @@ def represent(n: int, q: int) -> Representation | None:
     sqrt(q); that remainder is the only candidate for x.  A prime has at most
     one such representation up to order and sign.  For n = 1 the remainder
     after x is y (Brillhart, 1972), so x > y: the solution with the smaller y,
-    as the contract asks.  O(log q) steps instead of a scan over y.
+    as the contract asks.  O(log q) steps instead of a scan over y.  q = 2
+    needs no case of its own: r = 1 and Euclid stops at once.
     """
     if n < 1:
         raise ValueError("n must be positive")
     require_prime(q)
-    return _cornacchia(n, q)
-
-
-def _cornacchia(n: int, q: int) -> Representation | None:
-    # represent without the checks: n >= 1 and q prime are trusted.  q = 2
-    # needs no case of its own: r = 1 and Euclid stops at once.
     if n % q == 0:
         return Representation(0, 1) if n == q else None
     r = sqrt_mod(-n, q)
@@ -213,7 +208,7 @@ class EquivalenceReport:
 def _represented(n: int, lo: int, hi: int, squares: list[int]) -> set[int]:
     # The odd values x^2 + n*y^2 in [lo, hi) with x >= 0, y >= 1; squares
     # holds x^2 for x up to isqrt(hi - 1).  A prime is x^2 + n*y^2 only with
-    # y >= 1, and q = n only as 0^2 + n*1^2, as in _cornacchia.
+    # y >= 1, and q = n only as 0^2 + n*1^2, as in `represent`.
     values: set[int] = set()
     y = 1
     while (ny2 := n * y * y) < hi:

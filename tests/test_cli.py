@@ -350,6 +350,19 @@ def test_exact_stdout_of_every_subcommand(capsys):
         assert run_cli(capsys, *argv) == (0, line + "\n", ""), argv
 
 
+def test_replay_of_the_cli_reference(capsys):
+    # every request of bench/ref/cli.json, in process: exit code, stdout and
+    # stderr byte for byte.  The pool also reaches `hilbert ... inf --oracle`
+    # and the division-algebra note of `quat-split --witness`.
+    ref = Path(__file__).resolve().parent.parent / "bench" / "ref" / "cli.json"
+    requests = json.loads(ref.read_text())["requests"]
+    assert len(requests) == 1000
+    assert ["hilbert", "12", "20", "inf", "--oracle"] in [r["argv"] for r in requests]
+    assert any("no rational point exists" in r["stdout"] for r in requests)
+    for r in requests:
+        assert run_cli(capsys, *r["argv"]) == (r["exit"], r["stdout"], r["stderr"]), r["argv"]
+
+
 def test_exact_pretty_text(capsys):
     code, out, _ = run_cli(capsys, "quat-split", "-3", "3", "--witness", "10", "--pretty")
     assert code == 0

@@ -73,6 +73,8 @@ def test_zeta_has_order_q():
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
         cyclo_add(CyclotomicInt.from_int(3, 1), CyclotomicInt.from_int(5, 1))
+    with pytest.raises(ValueError):
+        PowerCharValue.root(3, 1) * PowerCharValue.root(5, 1)
 
 
 def test_bad_order_rejected_every_time():
@@ -109,6 +111,7 @@ def test_ring_axioms(q, data):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert a - b + b == a and -(-a) == a and (a - a).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +175,22 @@ def test_frobenius_power_matches_pow_mod():
                         assert ring.unpack(got) == want, (u, m, h, q, p)
 
 
-def test_image_slot_bound_holds_in_residue_rings():
-    # a residue ring has n = f slots sized for n^2 (p - 1)^3, and `image`
-    # sums up to q - 1 terms below p^2 into one
+def test_image_of_the_largest_coefficients_in_residue_rings():
+    # q - 1 coefficients p - 1 put the largest sums `image` forms into its
+    # slots; at s = 1 and s = p mod q the result is still the reduction of
+    # the sum of (p - 1) x^(i s)
     for q in SUPPORTED_Q:
-        for p in primes_up_to(10**5):
-            if p != q:
-                f = multiplicative_order(p, q)
-                assert q - 1 <= f * f * (p - 1), (q, p)
+        for p in primes_up_to(50):
+            if p == q:
+                continue
+            for g in factor_cyclotomic_mod_p(q, p):
+                ring = _PackedRing(list(g), p, q)
+                for s in (1, p % q):
+                    poly = [0] * ((q - 2) * s + 1)
+                    for i in range(q - 1):
+                        poly[i * s] = p - 1
+                    got = ring.unpack(ring.image([p - 1] * (q - 1), s))
+                    assert got == poly_mod(poly, list(g), p), (q, p, g, s)
 
 
 def test_short_dividend_is_reduced_and_trimmed():
@@ -343,6 +354,18 @@ def test_per_prime_caches_are_bounded():
     for cache in (factor_cyclotomic_mod_p, _residue_ring):
         info = cache.cache_info()
         assert info.currsize == info.maxsize < len(primes)
+
+
+def test_irreducible_phi_builds_no_ring(monkeypatch):
+    # f = q - 1: Phi_q is irreducible mod p and no trial runs, so no ring
+    # is built
+    def no_ring(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(brauersplit.cyclotomic, "_PackedRing", no_ring)
+    factor_cyclotomic_mod_p.cache_clear()
+    assert factor_cyclotomic_mod_p(3, 2) == ((1, 1, 1),)
+    assert factor_cyclotomic_mod_p(19, 2) == ((1,) * 19,)
 
 
 def test_factor_list_is_sorted():
@@ -522,6 +545,8 @@ def test_kummer_rejects_zero():
 
 
 def test_character_rejects_malformed_ideal():
+    with pytest.raises(TypeError):
+        power_residue_character(2.0, find_prime_ideal(7, 3))  # neither int nor CyclotomicInt
     with pytest.raises(ValueError):
         power_residue_character(2, PrimeIdealRep(p=7, q=3, g=(1, 1)))  # x+1 does not divide Phi_3
     with pytest.raises(ValueError):
