@@ -207,12 +207,13 @@ def primes_up_to(bound: int) -> list[int]:
     if bound < 3:
         # also ends the base-prime recursion of _odd_prime_segments
         return [2] if bound == 2 else []
-    return [2] + next(_odd_prime_segments(bound, bound))[2]
+    start, flags = next(_odd_prime_segments(bound, bound))
+    return [2, *compress(range(start, bound + 1, 2), flags)]
 
 
 def _odd_prime_segments(bound: int, size: int):
-    """Yield (lo, hi, primes) for consecutive segments [lo, hi) covering
-    3..bound, with primes the sorted odd primes in the segment.
+    """Yield (start, flags) for consecutive segments covering 3..bound, with
+    flags[i] = 1 iff start + 2*i is prime: one byte per odd number.
 
     Segmented sieve of Eratosthenes over the odd numbers: the base primes up
     to isqrt(bound) are sieved once, and each segment holds at most size
@@ -235,4 +236,4 @@ def _odd_prime_segments(bound: int, size: int):
             i = (m - start) // 2
             if i < count:  # p may have no odd multiple in a short segment
                 flags[i::p] = bytes((count - 1 - i) // p + 1)
-        yield lo, hi, list(compress(range(start, hi, 2), flags))
+        yield start, flags

@@ -13,7 +13,8 @@ for every n.  `verify_equivalence` sweeps a prime range and checks split,
 printed classes and representation against each other in one streaming pass,
 with memory flat in the bound: split (by Hilbert reciprocity) and congruence
 are read once per class mod 8n from the residue, and representability from
-the values of x^2 + n*y^2 enumerated per segment of the sieve.
+the values of x^2 + n*y^2 marked per segment of the sieve.  Each segment is
+folded as byte arrays over its odd numbers, with no Python work per prime.
 """
 
 from __future__ import annotations
@@ -205,18 +206,23 @@ class EquivalenceReport:
         }
 
 
-def _represented(n: int, lo: int, hi: int, squares: list[int]) -> set[int]:
-    # The odd values x^2 + n*y^2 in [lo, hi) with x >= 0, y >= 1; squares
-    # holds x^2 for x up to isqrt(hi - 1).  A prime is x^2 + n*y^2 only with
-    # y >= 1, and q = n only as 0^2 + n*1^2, as in `represent`.
-    values: set[int] = set()
+def _represented(n: int, start: int, count: int, halves: list[int]) -> bytearray:
+    # 1 at i iff start + 2*i is x^2 + n*y^2 with x >= 0, y >= 1 (start odd);
+    # halves holds x^2 // 2 for x up to isqrt(start + 2*count - 2).  A prime
+    # is x^2 + n*y^2 only with y >= 1, and q = n only as 0^2 + n*1^2, as in
+    # `represent`.  An odd value's index is x^2 // 2 + (n*y^2 - start + 1) // 2
+    # for either parity of x, so one offset serves each y.
+    marks = bytearray(count)
+    hi = start + 2 * count - 1  # one past the last odd number of the window
     y = 1
     while (ny2 := n * y * y) < hi:
-        x = isqrt(lo - ny2 - 1) + 1 if lo > ny2 else 0
+        x = isqrt(start - ny2 - 1) + 1 if start > ny2 else 0
         x += (x + ny2 + 1) % 2  # x^2 + ny2 odd
-        values.update(map(ny2.__add__, squares[x : isqrt(hi - 1 - ny2) + 1 : 2]))
+        offset = (ny2 - start + 1) // 2
+        for half in halves[x : isqrt(hi - 1 - ny2) + 1 : 2]:
+            marks[half + offset] = 1
         y += 1
-    return values
+    return marks
 
 
 @cache
@@ -237,19 +243,28 @@ def _class_codes(n: int) -> bytes:
 
 
 def _segment_codes(n: int, bound: int, size: int):
-    """Yield (primes, codes) for the odd primes q <= bound, size numbers at a
-    time: codes[i] = 4*split + 2*congruence + representable for primes[i]."""
-    table = _class_codes(n)
-    modulus = 8 * n
-    squares = [x * x for x in range(isqrt(bound) + 1)]
-    for lo, hi, primes in _odd_prime_segments(bound, size):
-        reps = _represented(n, lo, hi, squares)  # reads nothing of the table
-        yield primes, bytes([table[q % modulus] + (q in reps) for q in primes])
+    """Yield (start, codes) for the odd numbers up to bound, size numbers at a
+    time: codes[i] = 8 + 4*split + 2*congruence + representable if start + 2*i
+    is prime, else 0.
+
+    Each segment is three byte arrays over its odd numbers, the prime flags,
+    the class codes and the representation marks, read as integers p, c and
+    r: (8*p + c + r) & 15*p.  The bytes of c are in {0, 2, 4, 6} and of r in
+    {0, 1}, so no byte carries into the next, and a composite reads 0."""
+    odd = _class_codes(n)[1::2]  # the codes of the 4n odd residues mod 8n
+    halves = [x * x // 2 for x in range(isqrt(bound) + 1)]
+    for start, flags in _odd_prime_segments(bound, size):
+        count = len(flags)
+        first = start % (8 * n) // 2  # the index of start's class in odd
+        classes = (odd * (count // (4 * n) + 2))[first : first + count]
+        marks = _represented(n, start, count, halves)  # reads nothing of the table
+        p, c, r = (int.from_bytes(b, "little") for b in (flags, classes, marks))
+        yield start, ((8 * p + c + r) & 15 * p).to_bytes(count, "little")
 
 
 # bytes.translate tables: 1 at the codes of a disagreement, of a converse failure
-_DISAGREEMENT = bytes([0, 1, 1, 1, 1, 1, 1, 0]) + bytes(248)
-_CONVERSE_FAILURE = bytes([0, 0, 0, 0, 1, 1, 0, 0]) + bytes(248)
+_DISAGREEMENT = bytes(8) + bytes([0, 1, 1, 1, 1, 1, 1, 0]) + bytes(240)
+_CONVERSE_FAILURE = bytes(8) + bytes([0, 0, 0, 0, 1, 1, 0, 0]) + bytes(240)
 
 
 def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
@@ -266,10 +281,13 @@ def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
     counts = [0] * 8  # primes per code 4*split + 2*congruence + representable
     disagreements: list[int] = []
     converse_failures: list[int] = []
-    for primes, codes in _segment_codes(n, bound, max(isqrt(bound), 1 << 15)):
-        counts = [total + codes.count(k) for k, total in enumerate(counts)]
-        disagreements += compress(primes, codes.translate(_DISAGREEMENT))
-        converse_failures += compress(primes, codes.translate(_CONVERSE_FAILURE))
+    for start, codes in _segment_codes(n, bound, max(isqrt(bound), 1 << 15)):
+        counts = [total + codes.count(8 + k) for k, total in enumerate(counts)]
+        # compress walks every odd number; most segments have no hit at all
+        if 1 in (hits := codes.translate(_DISAGREEMENT)):
+            disagreements += compress(range(start, bound + 1, 2), hits)
+        if 1 in (hits := codes.translate(_CONVERSE_FAILURE)):
+            converse_failures += compress(range(start, bound + 1, 2), hits)
     return EquivalenceReport(
         n=n,
         bound=bound,

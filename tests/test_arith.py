@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 from math import gcd, isqrt
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from brauersplit.arith import (
     Inconclusive,
+    _odd_prime_segments,
     factorize,
     is_prime,
     legendre_symbol,
@@ -205,6 +207,19 @@ def test_primes_up_to_small_bounds():
     for bound in range(400):
         trial = [m for m in range(2, bound + 1) if all(m % d for d in range(2, isqrt(m) + 1))]
         assert primes_up_to(bound) == trial, bound
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+def test_odd_prime_segments_flag_the_odd_primes(size):
+    # odd and even sizes start segments at odd and even lo, which reaches the
+    # step past an even multiple and the guard for a segment with no multiple
+    for bound in range(3, 401):
+        segments = list(_odd_prime_segments(bound, size))
+        numbers = [start + 2 * i for start, flags in segments for i in range(len(flags))]
+        assert numbers == list(range(3, bound + 1, 2)), (size, bound)
+        assert set(b"".join(flags for _, flags in segments)) <= {0, 1}, (size, bound)
+        primes = [q for start, flags in segments for q in compress(range(start, bound + 1, 2), flags)]
+        assert primes == primes_up_to(bound)[1:], (size, bound)
 
 
 def test_sqrt_mod_with_deep_two_power():

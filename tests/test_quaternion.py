@@ -1,7 +1,7 @@
 import time
 import tracemalloc
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from brauersplit.quaternion import (
     represent,
     representation_criterion,
     split_over_odd_degree_field,
+    _represented,
     _segment_codes,
     verify_equivalence,
 )
@@ -238,11 +239,13 @@ def test_verify_equivalence_rejects_bad_input():
 
 def _sweep_rows(n, bound, size):
     # (q, split, congruence, representable) for every odd prime q <= bound,
-    # decoded from the segment codes 4*split + 2*congruence + representable
+    # decoded from the segment codes 8 + 4*split + 2*congruence + representable
+    # at q = start + 2*i (0 at a composite)
     return [
-        (q, bool(k & 4), bool(k & 2), bool(k & 1))
-        for primes, codes in _segment_codes(n, bound, size)
-        for q, k in zip(primes, codes, strict=True)
+        (start + 2 * i, bool(k & 4), bool(k & 2), bool(k & 1))
+        for start, codes in _segment_codes(n, bound, size)
+        for i, k in enumerate(codes)
+        if k
     ]
 
 
@@ -281,6 +284,26 @@ def test_sweep_rows_do_not_depend_on_the_segment_length(size):
     # and values x^2 + n*y^2 at every segment edge
     for n in SUPPORTED_N:
         assert _sweep_rows(n, 3000, size) == _sweep_rows(n, 3000, 3000), n
+
+
+def test_represented_marks_exactly_the_odd_values_of_the_form():
+    # marks at composites are masked out of the codes, so the rows above cannot
+    # see a wrong index there; every odd start up to 8n + 3 with windows of 1..64
+    # odd numbers meets both parities of x and of n*y^2
+    for n in SUPPORTED_N:
+        top = 8 * n + 3 + 2 * 63
+        marked = bytearray((top + 1) // 2)  # 1 at (v - 1) // 2 for odd v = x^2 + n*y^2
+        for y in range(1, isqrt(top // n) + 1):
+            for x in range(isqrt(top - n * y * y) + 1):
+                if (v := x * x + n * y * y) % 2:
+                    marked[(v - 1) // 2] = 1
+        halves = [x * x // 2 for x in range(isqrt(top) + 1)]
+        for start in range(3, 8 * n + 4, 2):
+            for count in range(1, 65):
+                # exactly the squares the window needs, so a read beyond them drops a mark
+                needed = halves[: isqrt(start + 2 * count - 2) + 1]
+                expected = marked[(start - 1) // 2 : (start - 1) // 2 + count]
+                assert _represented(n, start, count, needed) == expected, (n, start, count)
 
 
 def test_report_is_the_fold_of_the_rows():
