@@ -41,11 +41,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
+    d = (n - 1) >> s
     for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -216,24 +213,19 @@ def _odd_prime_segments(bound: int, size: int):
     flags[i] = 1 iff start + 2*i is prime: one byte per odd number.
 
     Segmented sieve of Eratosthenes over the odd numbers: the base primes up
-    to isqrt(bound) are sieved once, and each segment holds at most size
-    numbers, so memory is O(sqrt(bound) + size) whatever the bound.
+    to isqrt(bound) are sieved once, and segment k holds at most size odd
+    numbers from 3 + 2*size*k, so memory is O(sqrt(bound) + size).
     """
     base = primes_up_to(isqrt(bound))[1:]
-    for lo in range(3, bound + 1, size):
-        hi = min(lo + size, bound + 1)
-        start = lo | 1  # the first odd number of the segment
-        count = (hi - start + 1) // 2
+    for start in range(3, bound + 1, 2 * size):
+        count = min(size, (bound - start) // 2 + 1)
         flags = bytearray([1]) * count
         for p in base:
             m = p * p
-            if m >= hi:
+            if m >= start + 2 * count:
                 break
-            if m < start:
-                m = (start + p - 1) // p * p
-                if m % 2 == 0:  # only odd multiples are in the segment
-                    m += p
-            i = (m - start) // 2
-            if i < count:  # p may have no odd multiple in a short segment
-                flags[i::p] = bytes((count - 1 - i) // p + 1)
+            # strike from p^2, or from the i < p with start + 2*i == 0 (mod p)
+            # once start is past p^2; a short segment may end before that i
+            i = (p - start) // 2 % p if m < start else (m - start) // 2
+            flags[i::p] = bytes((count - 1 - i) // p + 1)
         yield start, flags

@@ -233,10 +233,13 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     # Cantor-Zassenhaus, derandomized: for each trial u in a fixed order,
     # t = u^((p^f - 1)/m) - 1 is taken once modulo Phi_q, which every factor
     # h so far divides, and gcd(h, t) splits each h that t separates.
-    # Constants never separate; by CRT some u of degree < q - 1 separates
-    # any two factors, so every trial packs into the ring as it is.
+    # Constants never separate, and neither does x: on the factor of zeta^c,
+    # x^((p^f - 1)/m) = zeta^(c(p^f - 1)/m), which is 1 for every c or for
+    # none, so t is 0 on every factor or a unit on every factor.  Trials start
+    # at x + 1.  By CRT some u of degree < q - 1 separates any two factors, so
+    # every trial packs into the ring as it is.
     ring = _PackedRing(phi, p, q)
-    factors, n = [phi], p
+    factors, n = [phi], p + 1
     while len(factors) < (q - 1) // f:
         u = ring.pack(_poly_from_index(n, p))
         n += 1

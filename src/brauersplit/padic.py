@@ -88,9 +88,12 @@ def _local_symbol(a: int, b: int, p: int) -> int:
     """(a, b / p) for nonzero a, b and p prime or 0 (the infinite place),
     none of it checked.
 
-    With a = p^va*u, b = p^vb*v and u, v units at p, it is (Serre, *A Course
-    in Arithmetic*, Ch. III, Thm. 1) (-1)^(va*vb*(p-1)/2) (u/p)^vb (v/p)^va at
-    odd p and (-1)^(eps(u)eps(v) + va*omega(v) + vb*omega(u)) at p = 2."""
+    With a = p^va*u, b = p^vb*v and u, v units at p, it is at odd p the tame
+    symbol c^((p-1)/2) mod p, c = (-1)^(va*vb) a^vb b^(-va) (Neukirch,
+    *Algebraic Number Theory*, Ch. V, Sec. 3), where only parities count:
+    c = (-1)^(va*vb) u^(vb mod 2) v^(va mod 2).  By Euler's criterion that is
+    Serre's (-1)^(va*vb*(p-1)/2) (u/p)^vb (v/p)^va (*A Course in Arithmetic*,
+    Ch. III, Thm. 1).  At 2 it is (-1)^(eps(u)eps(v) + va*omega(v) + vb*omega(u))."""
     if p == 0:
         return -1 if (a < 0 and b < 0) else 1
     va, vb = _valuation(a, p), _valuation(b, p)
@@ -98,12 +101,8 @@ def _local_symbol(a: int, b: int, p: int) -> int:
     if p == 2:
         exponent = _eps(u) * _eps(v) + va * _omega(v) + vb * _omega(u)
         return -1 if exponent % 2 else 1
-    sign = -1 if va * vb * ((p - 1) // 2) % 2 else 1
-    if vb % 2 and pow(u % p, (p - 1) // 2, p) == p - 1:
-        sign = -sign
-    if va % 2 and pow(v % p, (p - 1) // 2, p) == p - 1:
-        sign = -sign
-    return sign
+    c = (-1) ** (va * vb) * u ** (vb % 2) * v ** (va % 2)
+    return -1 if pow(c, (p - 1) // 2, p) == p - 1 else 1
 
 
 def hilbert_product(a: int, b: int) -> dict[Place, int]:

@@ -228,14 +228,15 @@ def _represented(n: int, start: int, count: int, halves: list[int]) -> bytearray
 @cache
 def _class_codes(n: int) -> bytes:
     """4*split + 2*congruence of the odd primes q == c (mod 8n), for each c."""
-    # The places of (-n, q) are inf, 2, the odd p | n and q.  For squarefree n
-    # the symbols at inf (+1), at 2 (its exponent reads q mod 8) and at p | n
-    # ((q/p)) depend only on q mod 8n, so they are read from c.  By Hilbert
-    # reciprocity all symbols multiply to +1, so for q not dividing 2n the class
-    # entry is the verdict.  A prime q | n is a place and alone in its class.
+    # The places of (-n, q) are inf, 2, the odd p | n and q.  The symbol at inf
+    # is +1 (q > 0).  For squarefree n the symbols at 2 (its exponent reads
+    # q mod 8) and at p | n ((q/p)) depend only on q mod 8n, so they are read
+    # from c.  By Hilbert reciprocity all symbols multiply to +1, so for q not
+    # dividing 2n the class entry is the verdict.  A prime q | n is a place and
+    # alone in its class.
     # Every CRITERIA modulus divides 8n and every special prime divides n, so
     # the congruence is read from c too.  An even c holds no odd prime.
-    places = [0, 2] + odd_prime_divisors(n)
+    places = [2] + odd_prime_divisors(n)
     admits = CRITERIA[n].admits
     return bytes(
         4 * all(_local_symbol(-n, c, p) == 1 for p in places) + 2 * admits(c) if c % 2 else 0
@@ -271,9 +272,9 @@ def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
     """Check split / congruence / representation against each other for every
     odd prime q <= bound.
 
-    One pass over the primes in segments of max(isqrt(bound), 2^15) numbers;
-    no list of primes or rows is kept, so memory beyond the reported primes
-    is O(sqrt(bound)) plus one segment."""
+    One pass over the primes in runs of 2^15 odd numbers; no list of primes
+    or rows is kept, so memory beyond the reported primes is O(sqrt(bound))
+    plus one segment."""
     if n not in CRITERIA:
         raise ValueError(f"n={n} unsupported; expected one of {SUPPORTED_N}")
     if bound < 3:
@@ -281,7 +282,7 @@ def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
     counts = [0] * 8  # primes per code 4*split + 2*congruence + representable
     disagreements: list[int] = []
     converse_failures: list[int] = []
-    for start, codes in _segment_codes(n, bound, max(isqrt(bound), 1 << 15)):
+    for start, codes in _segment_codes(n, bound, 1 << 15):
         counts = [total + codes.count(8 + k) for k, total in enumerate(counts)]
         # compress walks every odd number; most segments have no hit at all
         if 1 in (hits := codes.translate(_DISAGREEMENT)):

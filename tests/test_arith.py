@@ -211,10 +211,15 @@ def test_primes_up_to_small_bounds():
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
 def test_odd_prime_segments_flag_the_odd_primes(size):
-    # odd and even sizes start segments at odd and even lo, which reaches the
-    # step past an even multiple and the guard for a segment with no multiple
+    # sizes below and above the base primes reach a first multiple read mod p
+    # past p^2 and a short segment that ends before it; segment k is the run
+    # of size odd numbers from 3 + 2*size*k, the last one cut at bound
     for bound in range(3, 401):
         segments = list(_odd_prime_segments(bound, size))
+        starts = [start for start, _ in segments]
+        assert all(start % 2 for start in starts), (size, bound)
+        assert all(b - a == 2 * size for a, b in zip(starts, starts[1:])), (size, bound)
+        assert all(len(flags) == size for _, flags in segments[:-1]), (size, bound)
         numbers = [start + 2 * i for start, flags in segments for i in range(len(flags))]
         assert numbers == list(range(3, bound + 1, 2)), (size, bound)
         assert set(b"".join(flags for _, flags in segments)) <= {0, 1}, (size, bound)

@@ -368,6 +368,25 @@ def test_irreducible_phi_builds_no_ring(monkeypatch):
     assert factor_cyclotomic_mod_p(19, 2) == ((1,) * 19,)
 
 
+def test_trials_never_draw_x(monkeypatch):
+    # on the factor of zeta^c, x^((p^f - 1)/m) = zeta^(c(p^f - 1)/m) is 1 for
+    # every c or for none, so x separates no two factors and is never tried
+    drawn = []
+    power = _PackedRing.power
+
+    def recording(ring, a, m, d):
+        drawn.append(ring.unpack(a))
+        return power(ring, a, m, d)
+
+    monkeypatch.setattr(_PackedRing, "power", recording)
+    for q in (*SUPPORTED_Q, 23):
+        for p in primes_up_to(199):
+            if p != q:
+                factor_cyclotomic_mod_p.cache_clear()
+                factor_cyclotomic_mod_p(q, p)
+    assert drawn and [0, 1] not in drawn
+
+
 def test_factor_list_is_sorted():
     for q, p in ((13, 3), (7, 2), (19, 7), (11, 23)):
         factors = factor_cyclotomic_mod_p(q, p)
