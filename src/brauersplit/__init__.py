@@ -21,8 +21,6 @@ from .cyclotomic import (
     PrimeIdealRep,
     RamifiedPrimeError,
     SplittingClass,
-    cyclo_add,
-    cyclo_mul,
     cyclo_reduce,
     cyclotomic_decomposition,
     find_prime_ideal,
@@ -30,7 +28,6 @@ from .cyclotomic import (
     power_residue_character,
 )
 from .localnorm import (
-    NormQuestion,
     NormTraceCase,
     SplitTrace,
     SymbolAlgebraQuery,
@@ -70,7 +67,6 @@ __all__ = [
     "DecompositionType",
     "EquivalenceReport",
     "Inconclusive",
-    "NormQuestion",
     "NormTraceCase",
     "Place",
     "PowerCharValue",
@@ -84,8 +80,6 @@ __all__ = [
     "SUPPORTED_N",
     "SymbolAlgebraQuery",
     "congruence_criterion",
-    "cyclo_add",
-    "cyclo_mul",
     "cyclo_reduce",
     "cyclotomic_decomposition",
     "find_prime_ideal",

@@ -290,16 +290,23 @@ class CyclotomicInt:
         return not any(self.coeffs)
 
     def __add__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return cyclo_add(self, other)
+        _check_same_q(self, other)
+        return CyclotomicInt(self.q, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "CyclotomicInt":
         return CyclotomicInt(self.q, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return cyclo_add(self, -other)
+        return self + -other
 
     def __mul__(self, other: "CyclotomicInt") -> "CyclotomicInt":
-        return cyclo_mul(self, other)
+        _check_same_q(self, other)
+        prod = [0] * (2 * self.q - 3)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(other.coeffs):
+                    prod[i + j] += x * y
+        return cyclo_reduce(self.q, prod)
 
 
 def cyclo_reduce(q: int, coeffs) -> CyclotomicInt:
@@ -316,21 +323,6 @@ def cyclo_reduce(q: int, coeffs) -> CyclotomicInt:
 def _check_same_q(a: CyclotomicInt, b: CyclotomicInt) -> None:
     if a.q != b.q:
         raise ValueError(f"mixed cyclotomic orders {a.q} and {b.q}")
-
-
-def cyclo_add(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    _check_same_q(a, b)
-    return CyclotomicInt(a.q, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyclo_mul(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    _check_same_q(a, b)
-    prod = [0] * (2 * a.q - 3)
-    for i, x in enumerate(a.coeffs):
-        if x:
-            for j, y in enumerate(b.coeffs):
-                prod[i + j] += x * y
-    return cyclo_reduce(a.q, prod)
 
 
 # ---------------------------------------------------------------------------
@@ -460,12 +452,8 @@ def kummer_splitting(alpha, p: int, q: int) -> SplittingClass:
     the Kummer extension generated by a q-th root of alpha: q-th power of a
     prime (character 0), inert (character a nontrivial root of unity), or
     split into q distinct primes (character 1)."""
-    if isinstance(alpha, int):
-        if alpha == 0:
-            raise ValueError("alpha must be nonzero")
-    elif isinstance(alpha, CyclotomicInt):
-        if alpha.is_zero():
-            raise ValueError("alpha must be nonzero")
+    if alpha == 0 or isinstance(alpha, CyclotomicInt) and alpha.is_zero():
+        raise ValueError("alpha must be nonzero")
     chi = power_residue_character(alpha, find_prime_ideal(p, q))
     if chi.is_zero:
         return SplittingClass.RAMIFIED

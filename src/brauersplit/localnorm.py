@@ -23,19 +23,12 @@ from .cyclotomic import (
 )
 
 
-@dataclass(frozen=True)
-class NormQuestion:
-    """Is pi^m * u a norm from the unramified extension of residual degree f?"""
-
-    m: int
-    f: int
-
-
-def is_norm_unramified(question: NormQuestion) -> bool:
-    """True iff f divides m."""
-    if question.f < 1:
+def is_norm_unramified(m: int, f: int) -> bool:
+    """Is pi^m * u a norm from the unramified extension of residual degree f?
+    True iff f divides m."""
+    if f < 1:
         raise ValueError("residual degree must be positive")
-    return question.m % question.f == 0
+    return m % f == 0
 
 
 class NormTraceCase(Enum):
@@ -102,5 +95,5 @@ def symbol_algebra_norm_trace(query: SymbolAlgebraQuery) -> SplitTrace:
         case = NormTraceCase.SPLIT_BASE_CHAR_ONE
     else:
         case = NormTraceCase.SPLIT_BASE_CHAR_NONTRIVIAL
-    is_norm = None if f_rel is None else is_norm_unramified(NormQuestion(m=m, f=f_rel))
+    is_norm = None if f_rel is None else is_norm_unramified(m, f_rel)
     return SplitTrace(case=case, f_prime=f_prime, f_rel=f_rel, m=m, is_norm=is_norm)

@@ -13,6 +13,8 @@ and then calls `_local_symbol`, which trusts its place and reads valuations
 with the unchecked `arith._valuation`.  A caller that already knows its
 places, such as the sweep in `quaternion`, calls `_local_symbol` directly
 (p = 0 for the infinite place) and so pays no primality test per symbol.
+`qp_solvable_oracle` checks a and b, and p once through `lifting_threshold`,
+before its search starts.
 """
 
 from __future__ import annotations
@@ -136,10 +138,7 @@ def qp_solvable_oracle(a: int, b: int, p: int, k: int) -> bool:
     """
     if a == 0 or b == 0:
         raise ValueError("oracle needs nonzero coefficients")
-    require_prime(p)
-    if k < 1:
-        raise ValueError("k must be positive")
-    threshold = lifting_threshold(a, b, p)
+    threshold = lifting_threshold(a, b, p)  # validates p
     if k < threshold:
         raise ValueError(
             f"k={k} below lifting threshold {threshold}; result would not "
@@ -160,8 +159,8 @@ def _solvable_digits(a: int, b: int, p: int, k: int) -> bool:
     # primitive), so the answer is True.  Conversely any primitive solution
     # mod p^k keeps its full ancestor chain alive and triggers the exit by
     # depth k, because k >= 2*v_p(4ab)+1 bounds 2e+1 for its unit coordinate.
-    va = padic_valuation(2 * a, p)
-    vb = padic_valuation(2 * b, p)
+    va = _valuation(2 * a, p)
+    vb = _valuation(2 * b, p)
     vz = 1 if p == 2 else 0
 
     def exits(x: int, y: int, z: int, j: int) -> bool:

@@ -19,7 +19,7 @@ folded as byte arrays over its odd numbers, with no Python work per prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import isqrt
@@ -187,7 +187,7 @@ class EquivalenceReport:
     congruence_implies_split: bool
     split_implies_congruence: bool
     converse_required: bool
-    converse_failures: tuple[int, ...] = field(default=())
+    converse_failures: tuple[int, ...]
 
     @property
     def mandated_ok(self) -> bool:
@@ -227,20 +227,21 @@ def _represented(n: int, start: int, count: int, halves: list[int]) -> bytearray
 
 @cache
 def _class_codes(n: int) -> bytes:
-    """4*split + 2*congruence of the odd primes q == c (mod 8n), for each c."""
+    """4*split + 2*congruence of the odd primes q == c (mod 8n), at index
+    c // 2 for each of the 4n odd residues c."""
     # The places of (-n, q) are inf, 2, the odd p | n and q.  The symbol at inf
-    # is +1 (q > 0).  For squarefree n the symbols at 2 (its exponent reads
-    # q mod 8) and at p | n ((q/p)) depend only on q mod 8n, so they are read
-    # from c.  By Hilbert reciprocity all symbols multiply to +1, so for q not
-    # dividing 2n the class entry is the verdict.  A prime q | n is a place and
-    # alone in its class.
+    # is +1 (q > 0).  At 2 its exponent reads q mod 8, and at an odd p | n with
+    # p not dividing q it is (q/p)^(v_p(n)), so q mod 8n decides both and they
+    # are read from c.  By Hilbert reciprocity all symbols multiply to +1, so
+    # for q not dividing 2n the class entry is the verdict.  A prime q | n is a
+    # place and alone in its class.
     # Every CRITERIA modulus divides 8n and every special prime divides n, so
-    # the congruence is read from c too.  An even c holds no odd prime.
+    # the congruence is read from c too.
     places = [2] + odd_prime_divisors(n)
     admits = CRITERIA[n].admits
     return bytes(
-        4 * all(_local_symbol(-n, c, p) == 1 for p in places) + 2 * admits(c) if c % 2 else 0
-        for c in range(8 * n))
+        4 * all(_local_symbol(-n, c, p) == 1 for p in places) + 2 * admits(c)
+        for c in range(1, 8 * n, 2))
 
 
 def _segment_codes(n: int, bound: int, size: int):
@@ -252,7 +253,7 @@ def _segment_codes(n: int, bound: int, size: int):
     the class codes and the representation marks, read as integers p, c and
     r: (8*p + c + r) & 15*p.  The bytes of c are in {0, 2, 4, 6} and of r in
     {0, 1}, so no byte carries into the next, and a composite reads 0."""
-    odd = _class_codes(n)[1::2]  # the codes of the 4n odd residues mod 8n
+    odd = _class_codes(n)
     halves = [x * x // 2 for x in range(isqrt(bound) + 1)]
     for start, flags in _odd_prime_segments(bound, size):
         count = len(flags)

@@ -19,8 +19,6 @@ from brauersplit.cyclotomic import (
     SplittingClass,
     _PackedRing,
     _residue_ring,
-    cyclo_add,
-    cyclo_mul,
     cyclo_reduce,
     cyclotomic_decomposition,
     cyclotomic_polynomial,
@@ -47,18 +45,18 @@ def test_zeta_times_top_power_wraps():
     for q in SUPPORTED_Q:
         z = CyclotomicInt.zeta(q)
         top = CyclotomicInt.zeta(q, q - 2)
-        assert cyclo_mul(z, top).coeffs == tuple([-1] * (q - 1))
+        assert (z * top).coeffs == tuple([-1] * (q - 1))
 
 
 def test_multiplicative_identity():
     one = CyclotomicInt.from_int(7, 1)
     a = CyclotomicInt(7, (3, -2, 0, 5, 1, -4))
-    assert cyclo_mul(a, one) == a
+    assert a * one == a
 
 
 def test_q3_square_example():
     a = CyclotomicInt(3, (1, 1))
-    assert cyclo_mul(a, a) == CyclotomicInt(3, (0, 1))
+    assert a * a == CyclotomicInt(3, (0, 1))
 
 
 def test_zeta_has_order_q():
@@ -72,7 +70,7 @@ def test_zeta_has_order_q():
 
 def test_mixed_orders_rejected():
     with pytest.raises(ValueError):
-        cyclo_add(CyclotomicInt.from_int(3, 1), CyclotomicInt.from_int(5, 1))
+        CyclotomicInt.from_int(3, 1) + CyclotomicInt.from_int(5, 1)
     with pytest.raises(ValueError):
         PowerCharValue.root(3, 1) * PowerCharValue.root(5, 1)
 

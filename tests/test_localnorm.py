@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from brauersplit.arith import multiplicative_order, primes_up_to
 from brauersplit.cyclotomic import CyclotomicInt, RamifiedPrimeError
 from brauersplit.localnorm import (
-    NormQuestion,
     NormTraceCase,
     SymbolAlgebraQuery,
     is_norm_unramified,
@@ -13,20 +12,20 @@ from brauersplit.localnorm import (
 
 
 def test_norm_unramified_examples():
-    assert is_norm_unramified(NormQuestion(m=17, f=1)) is True
-    assert is_norm_unramified(NormQuestion(m=0, f=5)) is True
-    assert is_norm_unramified(NormQuestion(m=3, f=2)) is False
-    assert is_norm_unramified(NormQuestion(m=-4, f=2)) is True
+    assert is_norm_unramified(17, 1) is True
+    assert is_norm_unramified(0, 5) is True
+    assert is_norm_unramified(3, 2) is False
+    assert is_norm_unramified(-4, 2) is True
 
 
 def test_norm_unramified_rejects_bad_degree():
     with pytest.raises(ValueError):
-        is_norm_unramified(NormQuestion(m=1, f=0))
+        is_norm_unramified(1, 0)
 
 
 @given(st.integers(-100, 100), st.integers(1, 20))
 def test_norm_unramified_is_divisibility(m, f):
-    assert is_norm_unramified(NormQuestion(m=m, f=f)) == (m % f == 0)
+    assert is_norm_unramified(m, f) == (m % f == 0)
 
 
 def test_query_validation():

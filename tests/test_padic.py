@@ -139,6 +139,12 @@ def test_oracle_threshold_guard():
         qp_solvable_oracle(0, 1, 5, 1)
 
 
+@pytest.mark.parametrize("p, k", [(6, 3), (1, 1), (-7, 3)])
+def test_oracle_rejects_a_p_that_is_not_prime(p, k):
+    with pytest.raises(ValueError, match="is not a prime"):
+        qp_solvable_oracle(1, 1, p, k)
+
+
 @settings(max_examples=60)
 @given(NONZERO_SMALL, NONZERO_SMALL, st.sampled_from(SMALL_PRIMES))
 def test_oracle_agrees_with_symbol(a, b, p):

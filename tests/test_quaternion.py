@@ -55,6 +55,44 @@ def test_criteria_table_contents():
         assert crit.special_primes == special
 
 
+def _principal_genus(n):
+    # H_n = {x^2 + n*y^2 mod 4n, prime to 4n} (Cox, Primes of the Form
+    # x^2 + ny^2, Sec. 2-3); n*y^2 mod 4n is 0 or n and x^2 mod 4n repeats
+    # with period 2n, so x^2 and x^2 + n for x < 2n give every value
+    m = 4 * n
+    return {v % m for x in range(2 * n) for v in (x * x, x * x + n) if gcd(v, m) == 1}
+
+
+def _reduced_form_count(n):
+    # h(-4n): primitive forms a*x^2 + b*x*y + c*y^2 of discriminant -4n with
+    # |b| <= a <= c, and b >= 0 when |b| = a or a = c
+    count = 0
+    for a in range(1, isqrt(4 * n // 3) + 1):
+        for b in range(-a + 1, a + 1):
+            c, r = divmod(b * b + 4 * n, 4 * a)
+            if not r and c >= a and not (b < 0 and a == c) and gcd(gcd(a, b), c) == 1:
+                count += 1
+    return count
+
+
+def test_criteria_classes_are_the_principal_genus():
+    for n, crit in CRITERIA.items():
+        units = [u for u in range(4 * n) if gcd(u, 4 * n) == 1]
+        assert _principal_genus(n) == {u for u in units if u % crit.modulus in crit.classes}, n
+
+
+def test_criteria_are_exact_iff_one_form_per_genus():
+    # n is idoneal iff h(-4n) equals the genus count phi(4n) / (2|H_n|); for
+    # n = 14 it is 4 forms against 2 genera, so the classes are genus-only
+    idoneal = set()
+    for n in CRITERIA:
+        genera = sum(gcd(u, 4 * n) == 1 for u in range(4 * n)) // (2 * len(_principal_genus(n)))
+        if _reduced_form_count(n) == genera:
+            idoneal.add(n)
+    assert idoneal == set(CRITERIA) - {14}
+    assert _reduced_form_count(14) == 4
+
+
 def test_algebra_rejects_zero():
     with pytest.raises(ValueError):
         QuaternionAlgebra(0, 5)
