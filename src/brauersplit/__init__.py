@@ -11,7 +11,6 @@ from .arith import (
     is_prime,
     legendre_symbol,
     multiplicative_order,
-    odd_prime_divisors,
     padic_valuation,
 )
 from .cyclotomic import (
@@ -92,7 +91,6 @@ __all__ = [
     "legendre_symbol",
     "lifting_threshold",
     "multiplicative_order",
-    "odd_prime_divisors",
     "padic_valuation",
     "power_residue_character",
     "qp_solvable_oracle",

@@ -73,9 +73,6 @@ def legendre_symbol(a: int, p: int) -> int:
     Returns 0 iff p | a, +1 for nonzero quadratic residues, -1 otherwise.
     """
     require_prime(p, odd=True)
-    a %= p
-    if a == 0:
-        return 0
     r = pow(a, (p - 1) // 2, p)
     return -1 if r == p - 1 else r
 
@@ -119,16 +116,13 @@ def sqrt_mod(a: int, p: int) -> int | None:
     """Some x with x*x == a (mod p), or None if a is not a square mod p.
 
     p must be prime; it is not checked.  Tonelli-Shanks (Cohen, *A Course in
-    Computational Algebraic Number Theory*, Alg. 1.5.1): when p = 3 (mod 4),
-    one exponentiation whose square is checked against a; otherwise Euler's
-    criterion and a walk down the 2-power part of p - 1.
+    Computational Algebraic Number Theory*, Alg. 1.5.1): Euler's criterion,
+    then a walk down the 2-power part of p - 1.  At p = 3 (mod 4) that part
+    is 2 and the walk is empty, so the root is a^((p+1)/4).
     """
     a %= p
     if a < 2 or p == 2:
         return a
-    if p % 4 == 3:
-        x = pow(a, (p + 1) // 4, p)
-        return x if x * x % p == a else None
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * t, t odd
@@ -190,13 +184,6 @@ def factorize(n: int) -> dict[int, int]:
         stack.append(f)
         stack.append(m // f)
     return out
-
-
-def odd_prime_divisors(n: int) -> list[int]:
-    """Sorted distinct odd primes dividing n.  n must be nonzero."""
-    if n == 0:
-        raise ValueError("0 has every prime divisor")
-    return sorted(p for p in factorize(n) if p != 2)
 
 
 def primes_up_to(bound: int) -> list[int]:

@@ -92,6 +92,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_quat_split(args):
+    if args.witness is not None and args.witness < 1:  # also for a division algebra
+        raise ValueError("height bound must be positive")
     algebra = QuaternionAlgebra(args.alpha, args.beta)
     symbols = hilbert_product(args.alpha, args.beta)
     split = all(v == 1 for v in symbols.values())

@@ -65,8 +65,6 @@ def _trim(f: list[int]) -> list[int]:
 
 
 def poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
     out = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
         if fi:

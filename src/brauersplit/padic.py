@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import _valuation, odd_prime_divisors, padic_valuation, require_prime
+from .arith import _valuation, factorize, padic_valuation, require_prime
 
 
 @dataclass(frozen=True, order=True)
@@ -108,15 +108,16 @@ def _local_symbol(a: int, b: int, p: int) -> int:
 
 
 def hilbert_product(a: int, b: int) -> dict[Place, int]:
-    """Symbols at inf, 2 and every odd prime dividing a*b.
+    """Symbols at inf, 2 and every prime dividing a or b, in that order.
 
     At all other places the symbol is +1 (both arguments are units there), so
-    the values returned multiply to +1 by the product formula.
+    the values returned multiply to +1 by the product formula.  a and b are
+    factored one at a time: the product can be far harder to split.
     """
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    places = [Place.infinite(), Place.finite(2)]
-    places += [Place.finite(p) for p in odd_prime_divisors(a * b)]
+    primes = sorted(factorize(a).keys() | factorize(b).keys() | {2})
+    places = [Place.infinite()] + [Place.finite(p) for p in primes]
     return {v: _local_symbol(a, b, v.p) for v in places}
 
 

@@ -24,7 +24,7 @@ from functools import cache
 from itertools import compress
 from math import isqrt
 
-from .arith import _odd_prime_segments, legendre_symbol, odd_prime_divisors, require_prime, sqrt_mod
+from .arith import _odd_prime_segments, factorize, legendre_symbol, require_prime, sqrt_mod
 from .padic import _local_symbol, hilbert_product
 
 # n values whose converse (split implies congruence) is established; for the
@@ -142,14 +142,13 @@ def represent(n: int, q: int) -> Representation | None:
     sqrt(q); that remainder is the only candidate for x.  A prime has at most
     one such representation up to order and sign.  For n = 1 the remainder
     after x is y (Brillhart, 1972), so x > y: the solution with the smaller y,
-    as the contract asks.  O(log q) steps instead of a scan over y.  q = 2
-    needs no case of its own: r = 1 and Euclid stops at once.
+    as the contract asks.  O(log q) steps instead of a scan over y.  Neither
+    q = 2 nor a prime q | n needs a case of its own: r is 1 or 0, Euclid
+    stops at once, and q | n gives (0, 1) for q = n and None otherwise.
     """
     if n < 1:
         raise ValueError("n must be positive")
     require_prime(q)
-    if n % q == 0:
-        return Representation(0, 1) if n == q else None
     r = sqrt_mod(-n, q)
     if r is None:
         return None
@@ -237,7 +236,7 @@ def _class_codes(n: int) -> bytes:
     # place and alone in its class.
     # Every CRITERIA modulus divides 8n and every special prime divides n, so
     # the congruence is read from c too.
-    places = [2] + odd_prime_divisors(n)
+    places = sorted(factorize(n).keys() | {2})
     admits = CRITERIA[n].admits
     return bytes(
         4 * all(_local_symbol(-n, c, p) == 1 for p in places) + 2 * admits(c)

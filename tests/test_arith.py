@@ -12,7 +12,6 @@ from brauersplit.arith import (
     is_prime,
     legendre_symbol,
     multiplicative_order,
-    odd_prime_divisors,
     padic_valuation,
     primes_up_to,
     require_prime,
@@ -238,17 +237,6 @@ def test_sqrt_mod_with_deep_two_power():
         r = sqrt_mod(a, p)
         assert r in (x, p - x)
         assert sqrt_mod(a * nonresidue, p) is None
-
-
-def test_odd_prime_divisors_examples():
-    assert odd_prime_divisors(1) == []
-    assert odd_prime_divisors(-12) == [3]
-    assert odd_prime_divisors(210) == [3, 5, 7]
-
-
-def test_odd_prime_divisors_rejects_zero():
-    with pytest.raises(ValueError):
-        odd_prime_divisors(0)
 
 
 @given(st.integers(-10**8, 10**8).filter(bool))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import brauersplit
 import brauersplit.cli
 from brauersplit.cli import ReportRecord, main
@@ -110,6 +112,16 @@ def test_quat_split_witness_inconclusive(capsys):
     assert "inconclusive" in rec["outputs"]["witness_note"]
 
 
+@pytest.mark.parametrize("alpha", ["-1", "1"])
+def test_quat_split_rejects_a_height_bound_below_one(alpha, capsys):
+    # (-1, -1) is a division algebra and (1, 1) splits: H is checked before
+    # the verdict, not only when a point is searched for
+    code, out, err = run_cli(capsys, "quat-split", alpha, alpha, "--witness", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: height bound must be positive\n"
+
+
 def test_quat_split_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "quat-split", "0", "3")
     assert code == 2
@@ -154,6 +166,26 @@ def test_quat_split_at_the_twelve_base_pseudoprime():
     assert rec["outputs"]["split"] is False
     assert rec["outputs"]["symbols"]["399165290221"] == -1
     assert rec["outputs"]["symbols"]["798330580441"] == -1
+
+
+def test_quat_split_factors_each_argument_not_the_product(capsys):
+    # both are primes; their product is psi_13, which no base refutes, so
+    # factoring a*b would end inconclusive
+    assert 1287836182261 * 2575672364521 == 3317044064679887385961981
+    code, out, _ = run_cli(capsys, "quat-split", "1287836182261", "2575672364521")
+    assert code == 0
+    assert records(out)[0]["outputs"] == {
+        "split": True,
+        "symbols": {"1287836182261": 1, "2": 1, "2575672364521": 1, "inf": 1},
+    }
+
+
+def test_quat_split_of_two_large_primes_is_bounded():
+    # rho on the product of two primes near 10^18 runs about 10^9 steps
+    rec = run_cli_subprocess("quat-split", "1000000000000000003", "1000000000000000009")
+    assert rec["outputs"]["split"] is True
+    assert set(rec["outputs"]["symbols"]) == {
+        "inf", "2", "1000000000000000003", "1000000000000000009"}
 
 
 def test_quat_split_refuses_the_thirteen_base_pseudoprime(capsys):

@@ -6,7 +6,7 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brauersplit.arith import is_prime, odd_prime_divisors, primes_up_to
+from brauersplit.arith import factorize, is_prime, primes_up_to
 from brauersplit.quaternion import (
     CONVERSE_PROVEN,
     CRITERIA,
@@ -75,6 +75,12 @@ def _reduced_form_count(n):
     return count
 
 
+def _one_form_per_genus(n):
+    # n is idoneal iff h(-4n) equals the genus count phi(4n) / (2|H_n|)
+    units = sum(gcd(u, 4 * n) == 1 for u in range(4 * n))
+    return _reduced_form_count(n) * 2 * len(_principal_genus(n)) == units
+
+
 def test_criteria_classes_are_the_principal_genus():
     for n, crit in CRITERIA.items():
         units = [u for u in range(4 * n) if gcd(u, 4 * n) == 1]
@@ -82,15 +88,26 @@ def test_criteria_classes_are_the_principal_genus():
 
 
 def test_criteria_are_exact_iff_one_form_per_genus():
-    # n is idoneal iff h(-4n) equals the genus count phi(4n) / (2|H_n|); for
-    # n = 14 it is 4 forms against 2 genera, so the classes are genus-only
-    idoneal = set()
-    for n in CRITERIA:
-        genera = sum(gcd(u, 4 * n) == 1 for u in range(4 * n)) // (2 * len(_principal_genus(n)))
-        if _reduced_form_count(n) == genera:
-            idoneal.add(n)
-    assert idoneal == set(CRITERIA) - {14}
+    # for n = 14 it is 4 forms against 2 genera, so the classes are genus-only
+    assert {n for n in CRITERIA if _one_form_per_genus(n)} == set(CRITERIA) - {14}
     assert _reduced_form_count(14) == 4
+
+
+# Euler's idoneal numbers below 1000: 62 of his 65, which end at 1848;
+# Weinberger (1973) showed that at most one more exists
+EULER_IDONEAL_BELOW_1000 = {
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 18, 21, 22, 24, 25, 28, 30,
+    33, 37, 40, 42, 45, 48, 57, 58, 60, 70, 72, 78, 85, 88, 93, 102, 105, 112,
+    120, 130, 133, 165, 168, 177, 190, 210, 232, 240, 253, 273, 280, 312, 330,
+    345, 357, 385, 408, 462, 520, 760, 840,
+}
+
+
+def test_one_form_per_genus_finds_eulers_idoneal_numbers():
+    # a miscounted form, such as a*x^2 - b*x*y + a*y^2 counted beside its
+    # twin, breaks the list
+    assert len(EULER_IDONEAL_BELOW_1000) == 62
+    assert {n for n in range(1, 1000) if _one_form_per_genus(n)} == EULER_IDONEAL_BELOW_1000
 
 
 def test_algebra_rejects_zero():
@@ -306,7 +323,7 @@ def test_sweep_rows_match_the_public_decisions():
         per_class = Counter(q % (8 * n) for q in qs)
         units = [c for c in range(8 * n) if gcd(c, 8 * n) == 1]
         assert all(per_class[c] >= 2 for c in units), n  # every entry is reused
-        assert all(q in qs for q in odd_prime_divisors(n))
+        assert factorize(n).keys() - {2} <= set(qs)
         rows = _sweep_rows(n, 3000, 3000)
         assert [row[0] for row in rows] == qs
         for q, split, cong, rep in rows:
