@@ -1,14 +1,18 @@
 """Exact integer and modular arithmetic primitives.
 
-Primality is Miller-Rabin to the thirteen prime bases 2..41, which is exact
-below psi_13 = 3317044064679887385961981 (Sorenson & Webster, "Strong
-pseudoprimes to twelve prime bases", Math. Comp. 86, 2017); the twelve bases
-2..37 alone accept psi_12 = 318665857834031151167461 = 399165290221 *
-798330580441.  The library refuses above psi_13: `is_prime`, and through it
-`require_prime` and `factorize`, raise `Inconclusive` for a number there that
-passes all thirteen bases, instead of guessing.  Factoring strips the
-thirteen small primes 2..41 and then splits every cofactor by Pollard rho.
-All functions are pure and safe to call from concurrent workers.
+Primality is Miller-Rabin to the prime bases 2..41 in order.  The first k
+bases are exact below psi_k, the least strong pseudoprime to all of them
+(OEIS A014233; Sorenson & Webster, "Strong pseudoprimes to twelve prime
+bases", Math. Comp. 86, 2017), so a test stops at the first base k with
+n < psi_k: n < 2047 needs base 2 alone, n < 3825123056546413051 at most
+nine.  The twelve bases 2..37 accept psi_12 = 318665857834031151167461
+= 399165290221 * 798330580441, and all thirteen are exact below psi_13 =
+3317044064679887385961981.  The library refuses above psi_13: `is_prime`,
+and through it `require_prime` and `factorize`, raise `Inconclusive` for a
+number there that passes all thirteen bases, instead of guessing.
+Factoring strips the thirteen small primes 2..41 and then splits every
+cofactor by Pollard rho.  All functions are pure and safe to call from
+concurrent workers.
 
 Public functions validate their arguments.  The underscored kernels
 (`_valuation`) and `sqrt_mod` trust theirs, so a caller that has already
@@ -20,11 +24,14 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, isqrt
 
-# The trial divisors and then the Miller-Rabin bases: exact for all
-# n < _PSI_13 (about 3.3 * 10**24).  Trial division by the same primes first
-# means a base never equals n.
+# The trial divisors and then the Miller-Rabin bases.  Trial division by the
+# same primes first means a base never equals n.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI_13 = 3317044064679887385961981
+# _PSI[k - 1] = psi_k: bases 2..(k-th prime) are exact for n < psi_k
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051, 318665857834031151167461,
+        3317044064679887385961981)
 
 
 class Inconclusive(Exception):
@@ -43,19 +50,18 @@ def is_prime(n: int) -> bool:
             return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * d, d odd
     d = (n - 1) >> s
-    for a in _SMALL_PRIMES:
+    for a, psi in zip(_SMALL_PRIMES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    if n >= _PSI_13:
-        raise Inconclusive(f"{n} is a strong probable prime to the bases 2..41, not certified")
-    return True
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise Inconclusive(f"{n} is a strong probable prime to the bases 2..41, not certified")
 
 
 def require_prime(p: int, *, odd: bool = False) -> int:

@@ -9,11 +9,17 @@ representation.
 Powers in GF(p)[x]/(g) run on `_PackedRing`: a polynomial is one int with a
 fixed-width bit slot per coefficient, so a product is one bignum multiply;
 reduction mod g folds the high slots back through the table xs of x^j mod g
-and takes one % p per slot.  `poly_pow_mod` is the general power: pow(c, e, p)
-for a base that is a constant c mod g, square-and-multiply otherwise.  The
-character (m = q) and Cantor-Zassenhaus (m = 2, or m = q at p = 2, where
-q | 2^d - 1) raise u to (p^d - 1)/m modulo some h | Phi_q, where x^q = 1:
-Frobenius sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction,
+and takes one % p per slot.  Where g is Phi_q itself, the ring works modulo
+its multiple x^q - 1 instead: a product folds with one shift and one add,
+slots are narrower, and Frobenius below only permutes slots.  Its elements
+are representatives modulo Phi_q, and every power below is an identity of
+any commutative ring of characteristic p, so reducing the result mod Phi_q,
+or mod any factor of it, gives the power modulo that factor.
+`poly_pow_mod` is the general power: pow(c, e, p) for a base that is a
+constant c mod g, square-and-multiply otherwise.  The character (m = q) and
+Cantor-Zassenhaus (m = 2, or m = q at p = 2, where q | 2^d - 1) raise u to
+(p^d - 1)/m modulo some h | Phi_q, or x^q - 1, where x^q = 1: Frobenius
+sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction at most,
 and `_PackedRing.power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / m),
 r_(j+1) = p r_j mod m from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since
 u^floor(p r / m) = B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that
@@ -24,11 +30,14 @@ vanishes mod p raises ZeroDivisionError.
 A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
 irreducible factor of Phi_q mod p.  By Kummer-Dedekind these are all the
 primes above p, so an ideal is valid iff g is in `factor_cyclotomic_mod_p`.
+Every factor has degree f = ord(p mod q).  At f = q - 1 the factor is Phi_q;
+at f = 1 the factors are x - r^k, k = 1..q-1, for one root of unity r != 1
+in GF(p); in between, Cantor-Zassenhaus splits Phi_q in the ring of x^q - 1.
 The q-power residue character is evaluated in the residue field
-GF(p)[x]/(g), whose ring is built once per ideal; Cantor-Zassenhaus builds
-one ring of Phi_q per (q, p).  zeta maps to x, whose powers x^k, k < q, are
-distinct as p != q, so the character zeta^k is read off as the k with xs[k]
-equal to the power.
+GF(p)[x]/(g), whose ring is built once per ideal (modulo x^q - 1 when g =
+Phi_q).  zeta maps to x, whose powers x^k, k < q, are distinct as p != q, so
+the character zeta^k is read off as the k with xs[k] equal to the power;
+modulo x^q - 1 the power is x^k + c Phi_q, and slot k alone differs.
 The ideal machinery is limited to q in {3, 5, 7, 11, 13, 17, 19}, where
 Z[zeta_q] is a principal ideal domain.
 """
@@ -108,22 +117,30 @@ def poly_gcd(f: list[int], g: list[int], p: int) -> list[int]:
 
 class _PackedRing:
     """GF(p)[x]/(g), n = deg g >= 1, on Kronecker-packed ints (see the module
-    docstring); xs[j] is the packed x^j mod g for j < max(2n - 1, q)."""
+    docstring); xs[j] is the packed x^j mod g for j < max(2n - 1, q).  Given
+    q, g must divide Phi_q; g = Phi_q itself is replaced by its multiple
+    x^q - 1 (`wrap`), with n = q slots and xs[j] = x^j, so that an element
+    is one of its representatives modulo Phi_q."""
 
     def __init__(self, g: list[int], p: int, q: int = 0):
-        n = len(g) - 1
+        self.wrap = len(g) == q
+        n = q if self.wrap else len(g) - 1
         self.p, self.q = p, q
-        # w holds every unreduced slot: a folded product, below n^2 (p-1)^3,
-        # and `image`'s sum of fewer than q terms, each at most (p-1)^2
-        self.w = w = (max(n * n * (p - 1), q) * (p - 1) ** 2).bit_length()
+        # w holds every unreduced slot: modulo x^q - 1 a product slot, a sum
+        # of q terms each at most (p-1)^2; modulo g a folded product, below
+        # n^2 (p-1)^3, and `image`'s sum of fewer than q such terms
+        terms = q if self.wrap else max(n * n * (p - 1), q)
+        self.w = w = (terms * (p - 1) ** 2).bit_length()
         self.slot = (1 << w) - 1
         self.lomask = (1 << (n * w)) - 1
         self.low = range(0, n * w, w)
+        self.xs = xs = [1 << s for s in self.low]
+        if self.wrap:
+            return
         # x^n = -(g_0 + ... + g_(n-1) x^(n-1)) / g_n; x^(j+1) = x * x^j
         # with its slot n folded back through x^n
         inv = _lead_inverse(g, p)
         xn = self.pack([-c * inv % p for c in g[:-1]])
-        self.xs = xs = [1 << s for s in self.low]
         while len(xs) < max(2 * n - 1, q):
             t = xs[-1] << w
             xs.append(self.reduce((t & self.lomask) + (t >> n * w) * xn))
@@ -146,6 +163,8 @@ class _PackedRing:
     def mul(self, a: int, b: int) -> int:
         x = a * b
         r = x & self.lomask
+        if self.wrap:  # x^q = 1: slot q + j adds onto slot j
+            return self.reduce(r + (x >> self.q * self.w))
         for s, xj in self.fold:
             r += (x >> s & self.slot) * xj
         return self.reduce(r)
@@ -163,9 +182,19 @@ class _PackedRing:
     def image(self, coeffs, s: int = 1) -> int:
         # sum of (c mod p) x^(i s mod q) over coeffs[i], as x^q = 1 modulo
         # g | Phi_q: the image of an element of Z[zeta_q] at s = 1 (zeta to
-        # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q
+        # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q.  Modulo x^q - 1
+        # it only moves slots: i s mod q differ for the at most q coeffs.
         q, xs, p = self.q, self.xs, self.p
-        return self.reduce(sum(c % p * xs[i * s % q] for i, c in enumerate(coeffs) if c))
+        v = sum(c % p * xs[i * s % q] for i, c in enumerate(coeffs) if c)
+        return v if self.wrap else self.reduce(v)
+
+    def exponent(self, v: int) -> int:
+        """The k < q with v = x^k modulo g.  Modulo x^q - 1, v is x^k + c Phi_q:
+        every slot holds c but slot k, which holds c + 1 mod p."""
+        if not self.wrap:
+            return self.xs.index(v)
+        slots = [v >> s & self.slot for s in self.low]
+        return slots.index(min(slots, key=slots.count))
 
     def power(self, a: int, m: int, d: int) -> int:
         """a^((p^d - 1)/m) for a packed, reduced a, g | Phi_q and
@@ -228,9 +257,15 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     f = multiplicative_order(p, q)
     if f == q - 1:  # Phi_q itself is irreducible
         return (tuple(phi),)
+    if f == 1:  # q | p - 1: r != 1 below has order q; its other powers are the roots
+        u = 2
+        while (r := pow(u, (p - 1) // q, p)) == 1:
+            u += 1
+        return tuple(sorted((-pow(r, k, p) % p, 1) for k in range(1, q)))
     # Cantor-Zassenhaus, derandomized: for each trial u in a fixed order,
-    # t = u^((p^f - 1)/m) - 1 is taken once modulo Phi_q, which every factor
-    # h so far divides, and gcd(h, t) splits each h that t separates.
+    # t = u^((p^f - 1)/m) - 1 is taken once modulo x^q - 1, a multiple of
+    # Phi_q and so of every factor h so far, and gcd(h, t), which is the same
+    # for every lift of t mod h, splits each h that t separates.
     # Constants never separate, and neither does x: on the factor of zeta^c,
     # x^((p^f - 1)/m) = zeta^(c(p^f - 1)/m), which is 1 for every c or for
     # none, so t is 0 on every factor or a unit on every factor.  Trials start
@@ -432,11 +467,13 @@ def power_residue_character(alpha, ideal: PrimeIdealRep) -> PowerCharValue:
         coeffs = (alpha,)
     else:
         raise TypeError(f"expected int or CyclotomicInt, got {type(alpha).__name__}")
-    a = ring.image(coeffs)  # zeta maps to the class of x
+    # zeta maps to the class of x.  Modulo x^q - 1 the image leaves slot
+    # q - 1 empty, so it is a multiple of Phi_q only when it is 0.
+    a = ring.image(coeffs)
     if not a:
         return PowerCharValue.zero(ideal.q)
     value = ring.power(a, ideal.q, ideal.residue_degree)
-    return PowerCharValue.root(ideal.q, ring.xs.index(value))
+    return PowerCharValue.root(ideal.q, ring.exponent(value))
 
 
 class SplittingClass(Enum):

@@ -166,6 +166,51 @@ def test_is_prime_rejects_the_twelve_base_pseudoprime():
     assert is_prime(41)
 
 
+# psi_k for k = 1..12: the least strong pseudoprime to the first k prime
+# bases (OEIS A014233), each a composite that passes those k bases
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461)
+PSI_13 = 3317044064679887385961981
+
+
+def thirteen_base_is_prime(n):
+    # Miller-Rabin to all thirteen bases 2..41, with no early exit: exact for
+    # odd 41 < n < psi_13, the oracle for the exits at psi_k in `is_prime`
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_prime_rejects_every_psi_k():
+    # psi_k passes the first k bases, so a test that stopped at n <= psi_k
+    # instead of n < psi_k would call it prime
+    for k, psi in enumerate(PSI, 1):
+        assert not is_prime(psi), k
+        assert not thirteen_base_is_prime(psi), k
+
+
+def test_is_prime_against_thirteen_bases():
+    # seeded odd n from 43 to psi_13, log-uniform in size, and the composites
+    # n < 10^5 with 2^(n-1) = 1 mod n, which are likelier to pass base 2
+    rng = random.Random(1729)
+    sample = [rng.getrandbits(rng.randrange(6, PSI_13.bit_length() + 1)) | 1 for _ in range(20000)]
+    pseudo = [n for n in range(43, 10**5, 2) if pow(2, n - 1, n) == 1 and not thirteen_base_is_prime(n)]
+    sample = [n for n in sample if 41 < n < PSI_13] + pseudo
+    assert [n for n in sample if is_prime(n) != thirteen_base_is_prime(n)] == []
+    assert sum(map(thirteen_base_is_prime, sample)) == 2016 and len(pseudo) == 78
+
+
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) * (2**31 + 11))

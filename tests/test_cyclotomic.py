@@ -153,6 +153,8 @@ def test_frobenius_power_matches_pow_mod():
     # u^((p^f - 1)/m) modulo Phi_q and each of its factors, m = q and, for
     # odd p, m = 2; bases empty, constant, short, and longer than h with
     # negative coefficients.  The schoolbook oracle runs where p is small.
+    # The ring of Phi_q works modulo x^q - 1 and returns a representative,
+    # so each result is compared after its reduction mod h.
     rng = random.Random(91)
     for q in SUPPORTED_Q:
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 999983, 10**18 + 9):
@@ -170,13 +172,13 @@ def test_frobenius_power_matches_pow_mod():
                         if p < 40:
                             assert want == schoolbook_pow_mod(u, e, h, p), (u, m, h, q, p)
                         got = ring.power(ring.pack(poly_mod(u, h, p)), m, f)
-                        assert ring.unpack(got) == want, (u, m, h, q, p)
+                        assert poly_mod(ring.unpack(got), h, p) == want, (u, m, h, q, p)
 
 
 def test_image_of_the_largest_coefficients_in_residue_rings():
     # q - 1 coefficients p - 1 put the largest sums `image` forms into its
-    # slots; at s = 1 and s = p mod q the result is still the reduction of
-    # the sum of (p - 1) x^(i s)
+    # slots; at s = 1 and s = p mod q the result, reduced mod g, is still the
+    # reduction of the sum of (p - 1) x^(i s)
     for q in SUPPORTED_Q:
         for p in primes_up_to(50):
             if p == q:
@@ -187,8 +189,23 @@ def test_image_of_the_largest_coefficients_in_residue_rings():
                     poly = [0] * ((q - 2) * s + 1)
                     for i in range(q - 1):
                         poly[i * s] = p - 1
-                    got = ring.unpack(ring.image([p - 1] * (q - 1), s))
+                    got = poly_mod(ring.unpack(ring.image([p - 1] * (q - 1), s)), list(g), p)
                     assert got == poly_mod(poly, list(g), p), (q, p, g, s)
+
+
+def test_product_of_the_largest_slots_modulo_x_q_minus_1():
+    # every slot p - 1 makes every slot of the folded product q (p - 1)^2,
+    # the largest the ring of Phi_q must hold; it is exactly the schoolbook
+    # product reduced mod x^q - 1
+    for q in (*SUPPORTED_Q, 23):
+        x_q_minus_1 = [-1] + [0] * (q - 1) + [1]
+        for p in (2, 3, 5, 101, 999983, 10**18 + 9):
+            if p == q:
+                continue
+            ring = _PackedRing(cyclotomic_polynomial(q), p, q)
+            top = [p - 1] * q
+            want = poly_mod(poly_mul(top, top, p), x_q_minus_1, p)
+            assert ring.unpack(ring.mul(ring.pack(top), ring.pack(top))) == want, (q, p)
 
 
 def test_short_dividend_is_reduced_and_trimmed():
@@ -355,8 +372,8 @@ def test_per_prime_caches_are_bounded():
 
 
 def test_irreducible_phi_builds_no_ring(monkeypatch):
-    # f = q - 1: Phi_q is irreducible mod p and no trial runs, so no ring
-    # is built
+    # f = q - 1: Phi_q is irreducible mod p; f = 1: the factors are written
+    # down from one root of unity.  Neither runs a trial, so no ring is built
     def no_ring(*args):
         raise AssertionError("a ring was built")
 
@@ -364,6 +381,23 @@ def test_irreducible_phi_builds_no_ring(monkeypatch):
     factor_cyclotomic_mod_p.cache_clear()
     assert factor_cyclotomic_mod_p(3, 2) == ((1, 1, 1),)
     assert factor_cyclotomic_mod_p(19, 2) == ((1,) * 19,)
+    assert factor_cyclotomic_mod_p(3, 7) == ((3, 1), (5, 1))
+    assert factor_cyclotomic_mod_p(5, 11) == ((2, 1), (6, 1), (7, 1), (8, 1))
+    factors = factor_cyclotomic_mod_p(19, 1000000000000000931)
+    assert len(factors) == 18 and factors[0] == (53772427141199532, 1)
+
+
+def test_split_factors_are_the_roots_of_unity():
+    # f = 1: Phi_q splits into the x - r over the q - 1 roots r != 1 of
+    # r^q = 1, found here by trying every residue
+    pairs = 0
+    for q in (*SUPPORTED_Q, 23):
+        for p in primes_up_to(3000):
+            if p % q == 1:
+                roots = [r for r in range(2, p) if pow(r, q, p) == 1]
+                assert factor_cyclotomic_mod_p(q, p) == tuple((-r % p, 1) for r in reversed(roots)), (q, p)
+                pairs += 1
+    assert pairs == 525
 
 
 def test_trials_never_draw_x(monkeypatch):
