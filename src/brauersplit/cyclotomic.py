@@ -16,14 +16,13 @@ are representatives modulo Phi_q, and every power below is an identity of
 any commutative ring of characteristic p, so reducing the result mod Phi_q,
 or mod any factor of it, gives the power modulo that factor.
 `poly_pow_mod` is the general power: pow(c, e, p) for a base that is a
-constant c mod g, square-and-multiply otherwise.  The character (m = q) and
-Cantor-Zassenhaus (m = 2, or m = q at p = 2, where q | 2^d - 1) raise u to
-(p^d - 1)/m modulo some h | Phi_q, or x^q - 1, where x^q = 1: Frobenius
+constant c mod g, square-and-multiply otherwise.  The character raises u to
+(p^d - 1)/q modulo some h | Phi_q, or x^q - 1, where x^q = 1: Frobenius
 sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction at most,
-and `_PackedRing.power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / m),
-r_(j+1) = p r_j mod m from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/m).  Since
-u^floor(p r / m) = B^r u^floor(r (p mod m) / m) with B = u^floor(p / m), that
-is one log2(p)-bit power and fewer than m + d further products, where plain
+and `_PackedRing.power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / q),
+r_(j+1) = p r_j mod q from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/q).  Since
+u^floor(p r / q) = B^r u^floor(r (p mod q) / q) with B = u^floor(p / q), that
+is one log2(p)-bit power and fewer than q + d further products, where plain
 square-and-multiply takes d log2(p).  A modulus whose leading coefficient
 vanishes mod p raises ZeroDivisionError.
 
@@ -32,7 +31,8 @@ irreducible factor of Phi_q mod p.  By Kummer-Dedekind these are all the
 primes above p, so an ideal is valid iff g is in `factor_cyclotomic_mod_p`.
 Every factor has degree f = ord(p mod q).  At f = q - 1 the factor is Phi_q;
 at f = 1 the factors are x - r^k, k = 1..q-1, for one root of unity r != 1
-in GF(p); in between, Cantor-Zassenhaus splits Phi_q in the ring of x^q - 1.
+in GF(p); in between, Cantor-Zassenhaus splits Phi_q in the ring of x^q - 1
+with trials from the subalgebra that Frobenius fixes (Berlekamp).
 The q-power residue character is evaluated in the residue field
 GF(p)[x]/(g), whose ring is built once per ideal (modulo x^q - 1 when g =
 Phi_q).  zeta maps to x, whose powers x^k, k < q, are distinct as p != q, so
@@ -44,6 +44,7 @@ Z[zeta_q] is a principal ideal domain.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -196,22 +197,22 @@ class _PackedRing:
         slots = [v >> s & self.slot for s in self.low]
         return slots.index(min(slots, key=slots.count))
 
-    def power(self, a: int, m: int, d: int) -> int:
-        """a^((p^d - 1)/m) for a packed, reduced a, g | Phi_q and
-        m | p^d - 1, by the Frobenius recurrence of the module docstring."""
-        p = self.p
+    def power(self, a: int, d: int) -> int:
+        """a^((p^d - 1)/q) for a packed, reduced a, g | Phi_q and
+        q | p^d - 1, by the Frobenius recurrence of the module docstring."""
+        p, q = self.p, self.q
         if a < p:  # only slot 0 is set: a constant
-            return pow(a, (p**d - 1) // m, p)
-        rs = [pow(p, j, m) for j in range(d)]
-        # F[r] = a^floor(p r / m): F[r-1] * F[1], times a when floor(r (p mod m) / m) steps
-        b = self.pow(a, p // m)
-        ab, pm = self.mul(a, b), p % m
+            return pow(a, (p**d - 1) // q, p)
+        rs = [pow(p, j, q) for j in range(d)]
+        # F[r] = a^floor(p r / q): F[r-1] * F[1], times a when floor(r (p mod q) / q) steps
+        b = self.pow(a, p // q)
+        ab, pq = self.mul(a, b), p % q
         F = [1, b]
         for r in range(2, max(rs) + 1):
-            F.append(self.mul(F[-1], ab if r * pm // m > (r - 1) * pm // m else b))
+            F.append(self.mul(F[-1], ab if r * pq // q > (r - 1) * pq // q else b))
         acc = b
         for r in rs[1:]:
-            acc = self.mul(self.image(self.unpack(acc), p % self.q), F[r])
+            acc = self.mul(self.image(self.unpack(acc), pq), F[r])
         return acc
 
 
@@ -233,16 +234,6 @@ def cyclotomic_polynomial(q: int) -> list[int]:
     return [1] * q
 
 
-def _poly_from_index(n: int, p: int) -> list[int]:
-    # n-th polynomial over GF(p): coefficients are the base-p digits of n.
-    # Enumerating n = 0, 1, 2, ... walks through every polynomial exactly once.
-    digits = []
-    while n:
-        n, r = divmod(n, p)
-        digits.append(r)
-    return digits
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     """All monic irreducible factors of Phi_q mod p, sorted by coefficient
@@ -262,22 +253,25 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
         while (r := pow(u, (p - 1) // q, p)) == 1:
             u += 1
         return tuple(sorted((-pow(r, k, p) % p, 1) for k in range(1, q)))
-    # Cantor-Zassenhaus, derandomized: for each trial u in a fixed order,
-    # t = u^((p^f - 1)/m) - 1 is taken once modulo x^q - 1, a multiple of
-    # Phi_q and so of every factor h so far, and gcd(h, t), which is the same
-    # for every lift of t mod h, splits each h that t separates.
-    # Constants never separate, and neither does x: on the factor of zeta^c,
-    # x^((p^f - 1)/m) = zeta^(c(p^f - 1)/m), which is 1 for every c or for
-    # none, so t is 0 on every factor or a unit on every factor.  Trials start
-    # at x + 1.  By CRT some u of degree < q - 1 separates any two factors, so
-    # every trial packs into the ring as it is.
+    # Cantor-Zassenhaus in Berlekamp's subalgebra.  Modulo x^q - 1, Frobenius
+    # v -> v(x^p) only permutes monomials, so it fixes each orbit sum s_k, the
+    # sum of the distinct x^(k p^j mod q), j < f: s_0 = 1 and one s_k per
+    # coset of <p> in (Z/q)*.  Each is a constant mod every factor h of Phi_q,
+    # so a random combination u of them takes independent uniform values in
+    # GF(p) on the factors, and t = u^((p-1)/2) - 1 (u - 1 at p = 2) separates
+    # two with probability about 1/2.  t is taken once modulo x^q - 1, a
+    # multiple of every h, and gcd(h, t), the same for every lift of t mod h,
+    # splits each h it separates.
     ring = _PackedRing(phi, p, q)
-    factors, n = [phi], p + 1
+    orbits = ({k * p**j % q for j in range(f)} for k in range(q))
+    sums = list(dict.fromkeys(sum(ring.xs[i] for i in o) for o in orbits))
+    rng = random.Random(p)
+    factors = [phi]
     while len(factors) < (q - 1) // f:
-        u = ring.pack(_poly_from_index(n, p))
-        n += 1
-        # m = 2, or m = q | 2^f - 1 at p = 2; slot 0 stays below 2p
-        t = ring.unpack(ring.reduce(ring.power(u, 2 if p > 2 else q, f) + p - 1))
+        # the orbits are disjoint, so each slot of u holds one draw below p
+        u = sum(rng.randrange(p) * s for s in sums)
+        # slot 0 stays below 2p
+        t = ring.unpack(ring.reduce(ring.pow(u, (p - 1) // 2 or 1) + p - 1))
         pieces = []
         for h in factors:
             w = poly_gcd(h, t, p)
@@ -472,7 +466,7 @@ def power_residue_character(alpha, ideal: PrimeIdealRep) -> PowerCharValue:
     a = ring.image(coeffs)
     if not a:
         return PowerCharValue.zero(ideal.q)
-    value = ring.power(a, ideal.q, ideal.residue_degree)
+    value = ring.power(a, ideal.residue_degree)
     return PowerCharValue.root(ideal.q, ring.exponent(value))
 
 

@@ -150,9 +150,9 @@ def test_pow_mod_known_values_in_gf49():
 
 
 def test_frobenius_power_matches_pow_mod():
-    # u^((p^f - 1)/m) modulo Phi_q and each of its factors, m = q and, for
-    # odd p, m = 2; bases empty, constant, short, and longer than h with
-    # negative coefficients.  The schoolbook oracle runs where p is small.
+    # u^((p^f - 1)/q) modulo Phi_q and each of its factors; bases empty,
+    # constant, short, and longer than h with negative coefficients.  The
+    # schoolbook oracle runs where p is small.
     # The ring of Phi_q works modulo x^q - 1 and returns a representative,
     # so each result is compared after its reduction mod h.
     rng = random.Random(91)
@@ -165,14 +165,13 @@ def test_frobenius_power_matches_pow_mod():
                 ring = _PackedRing(h, p, q)
                 bases = ([], [rng.randrange(1, p)], [rng.randrange(p) for _ in range(len(h) - 1)],
                          [rng.randrange(-p, p) for _ in range(len(h) + 3)])
-                for m in (q, 2) if p % 2 else (q,):
-                    e = (p**f - 1) // m
-                    for u in bases:
-                        want = poly_pow_mod(u, e, h, p)
-                        if p < 40:
-                            assert want == schoolbook_pow_mod(u, e, h, p), (u, m, h, q, p)
-                        got = ring.power(ring.pack(poly_mod(u, h, p)), m, f)
-                        assert poly_mod(ring.unpack(got), h, p) == want, (u, m, h, q, p)
+                e = (p**f - 1) // q
+                for u in bases:
+                    want = poly_pow_mod(u, e, h, p)
+                    if p < 40:
+                        assert want == schoolbook_pow_mod(u, e, h, p), (u, h, q, p)
+                    got = ring.power(ring.pack(poly_mod(u, h, p)), f)
+                    assert poly_mod(ring.unpack(got), h, p) == want, (u, h, q, p)
 
 
 def test_image_of_the_largest_coefficients_in_residue_rings():
@@ -328,10 +327,12 @@ def test_find_prime_ideal_rejects():
 
 
 def test_factorization_is_complete_and_irreducible():
-    # p < 50, then the full splits p = 1 mod q at q = 13, 17, 19, the m = q
-    # path at p = 2 for q = 23, and f = 1, 2, 18 at q = 19 near 10^12
+    # p < 50, then the full splits p = 1 mod q at q = 13, 17, 19, pairs
+    # q >= 37 where the orbit sum of x takes one value on two factors, p = 2
+    # at q = 23 (f = 11), and f = 1, 2, 18 at q = 19 near 10^12
     cases = [(q, p) for q in SUPPORTED_Q for p in primes_up_to(50) if p != q] + [
-        (13, 53), (13, 79), (17, 103), (17, 137), (19, 191), (19, 229), (23, 2),
+        (13, 53), (13, 79), (17, 103), (17, 137), (19, 191), (19, 229),
+        (37, 211), (41, 139), (43, 251), (53, 83), (23, 2),
         (19, 1000000001419), (19, 1000000000163), (19, 1000000000063)]
     for q, p in cases:
         f = multiplicative_order(p, q)
@@ -400,23 +401,28 @@ def test_split_factors_are_the_roots_of_unity():
     assert pairs == 525
 
 
-def test_trials_never_draw_x(monkeypatch):
-    # on the factor of zeta^c, x^((p^f - 1)/m) = zeta^(c(p^f - 1)/m) is 1 for
-    # every c or for none, so x separates no two factors and is never tried
-    drawn = []
-    power = _PackedRing.power
+def test_trials_are_fixed_by_frobenius(monkeypatch):
+    # every trial lies in Berlekamp's subalgebra: v^p = v(x^(p mod q)) is v,
+    # so v is a constant mod each factor of Phi_q.  A pair whose trials stop
+    # splitting fails after 20 of them instead of hanging.
+    trials = []
+    pow_ = _PackedRing.pow
 
-    def recording(ring, a, m, d):
-        drawn.append(ring.unpack(a))
-        return power(ring, a, m, d)
+    def recording(ring, a, e):
+        if ring.wrap:
+            assert ring.image(ring.unpack(a), ring.p % ring.q) == a, (ring.q, ring.p, ring.unpack(a))
+            assert trials[-1] < 20, (ring.q, ring.p)
+            trials[-1] += 1
+        return pow_(ring, a, e)
 
-    monkeypatch.setattr(_PackedRing, "power", recording)
+    monkeypatch.setattr(_PackedRing, "pow", recording)
     for q in (*SUPPORTED_Q, 23):
         for p in primes_up_to(199):
             if p != q:
+                trials.append(0)
                 factor_cyclotomic_mod_p.cache_clear()
                 factor_cyclotomic_mod_p(q, p)
-    assert drawn and [0, 1] not in drawn
+    assert max(trials) > 0
 
 
 def test_factor_list_is_sorted():
