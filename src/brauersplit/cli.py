@@ -3,19 +3,17 @@
 Output is JSON Lines on stdout (one record per line, keys sorted, so
 identical invocations are byte-identical); --pretty switches to an aligned
 human-readable listing.  Each handler yields the (inputs, outputs, witness)
-of its records; `main` alone builds and prints them, writes --out and picks
-the exit code.  Exit codes: 0 success/verified, 1 a record whose outputs
-hold `agree: false` or `mandated_ok: false` (a mandated check failed), 2
-usage error or unwritable --out, 3 inconclusive (a number at or above psi_13
-that no primality base refutes, see `arith`).
+of its records; `main` alone builds and prints them and picks the exit
+code.  Exit codes: 0 success/verified, 1 a record whose outputs hold
+`agree: false` or `mandated_ok: false` (a mandated check failed), 2 usage
+error, 3 inconclusive (a number at or above psi_13 that no primality base
+refutes, see `arith`).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
-import itertools
 import json
 import sys
 
@@ -190,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", _cmd_verify, "sweep split/congruence/representation equivalences",
                 ("n", "criterion index or 'all'"))
     p.add_argument("--bound", type=int, default=1000, metavar="B")
-    p.add_argument("--out", metavar="FILE", help="also write JSON lines to FILE")
     command("cyclo", _cmd_cyclo, "decomposition type of p in the q-th cyclotomic field", "p", "q")
     command("power-char", _cmd_power_char, "q-power residue character of alpha above p",
             "alpha", "p", "q")
@@ -207,22 +204,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already; normalize other exits
         return int(exc.code or 0)
-    out = getattr(args, "out", None)  # only verify defines --out
     failed = False
-    records = args.func(args)
     try:
-        # the handlers validate before their first yield, so a usage error
-        # is raised here, before --out is opened and truncated
-        first = next(records)
-        with open(out, "w") if out else contextlib.nullcontext() as out_file:
-            for inputs, outputs, witness in itertools.chain([first], records):
-                record = ReportRecord(args.command, inputs, outputs, witness)
-                print(record.pretty() if args.pretty else record.to_json())
-                if out_file is not None:
-                    out_file.write(record.to_json() + "\n")
-                # the two mandated checks: hilbert --oracle and verify
-                if outputs.get("agree") is False or outputs.get("mandated_ok") is False:
-                    failed = True
+        for inputs, outputs, witness in args.func(args):
+            record = ReportRecord(args.command, inputs, outputs, witness)
+            print(record.pretty() if args.pretty else record.to_json())
+            # the two mandated checks: hilbert --oracle and verify
+            if outputs.get("agree") is False or outputs.get("mandated_ok") is False:
+                failed = True
     except Inconclusive as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3

@@ -39,10 +39,6 @@ class Place:
             require_prime(self.p)
 
     @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
-
-    @classmethod
     def infinite(cls) -> "Place":
         return cls(0)
 
@@ -117,7 +113,7 @@ def hilbert_product(a: int, b: int) -> dict[Place, int]:
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
     primes = sorted(factorize(a).keys() | factorize(b).keys() | {2})
-    places = [Place.infinite()] + [Place.finite(p) for p in primes]
+    places = [Place.infinite()] + [Place(p) for p in primes]
     return {v: _local_symbol(a, b, v.p) for v in places}
 
 

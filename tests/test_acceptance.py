@@ -174,7 +174,7 @@ def test_criterion_06_oracle_agreement_exhaustive():
     t0 = time.perf_counter()
     mismatches = []
     for p in primes_up_to(30):
-        place = Place.finite(p)
+        place = Place(p)
         for a in range(-30, 31):
             if a == 0:
                 continue

@@ -257,34 +257,20 @@ def test_verify_all_surfaces_the_n14_defect(capsys):
     assert all(by_n[n]["mandated_ok"] for n in by_n if n != 14)
 
 
-def test_verify_out_file(tmp_path, capsys):
-    target = tmp_path / "report.jsonl"
-    code, out, _ = run_cli(capsys, "verify", "13", "--bound", "200", "--out", str(target))
-    assert code == 0
-    assert target.read_text().strip() == out.strip()
-
-
-def test_verify_out_to_missing_directory_is_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.jsonl"
-    code, out, err = run_cli(capsys, "verify", "3", "--bound", "50", "--out", str(target))
+def test_verify_has_no_out_option(tmp_path, monkeypatch, capsys):
+    # stdout is the one record stream; `> FILE` keeps it
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "verify", "3", "--bound", "50", "--out", "x.jsonl")
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "Traceback" not in err
-
-
-def test_verify_usage_error_keeps_existing_out_file(tmp_path, capsys):
-    # the arguments are validated before --out is opened for writing
-    target = tmp_path / "report.jsonl"
-    target.write_bytes(b"kept\n")
-    for argv in (("4", "--bound", "10"), ("3", "--bound", "2")):
-        code, out, err = run_cli(capsys, "verify", *argv, "--out", str(target))
-        assert code == 2 and out == "" and err.startswith("error:"), argv
-        assert target.read_bytes() == b"kept\n", argv
+    assert "unrecognized arguments: --out x.jsonl" in err
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_verify_rejects_bad_n(capsys):
-    code, _, err = run_cli(capsys, "verify", "4", "--bound", "100")
-    assert code == 2
+    for argv in (("4", "--bound", "100"), ("3", "--bound", "2")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error:"), argv
 
 
 def test_cyclo(capsys):
@@ -439,10 +425,9 @@ def readme_commands(section):
     ]
 
 
-def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+def test_readme_commands_run(capsys):
     # every documented invocation must parse and finish; verify all exits 1
-    # on n = 14 by design.  Run in tmp_path because --out writes a file.
-    monkeypatch.chdir(tmp_path)
+    # on n = 14 by design.  No command writes a file: records go to stdout.
     for section in ("CLI", "Experiments"):
         commands = readme_commands(section)
         assert commands, section

@@ -40,16 +40,16 @@ def _solvable_sweep(a: int, b: int, p: int, k: int) -> bool:
 
 def test_place_validation_and_order():
     with pytest.raises(ValueError):
-        Place.finite(6)
+        Place(6)
     assert Place.infinite().is_infinite
     assert str(Place.infinite()) == "inf"
-    assert str(Place.finite(7)) == "7"
-    assert Place.infinite() < Place.finite(2) < Place.finite(3)
+    assert str(Place(7)) == "7"
+    assert Place.infinite() < Place(2) < Place(3)
 
 
 def test_symbol_rejects_zero():
     with pytest.raises(ValueError):
-        hilbert_symbol(0, 5, Place.finite(3))
+        hilbert_symbol(0, 5, Place(3))
     with pytest.raises(ValueError):
         hilbert_product(3, 0)
 
@@ -66,17 +66,17 @@ def test_symbol_unit_places_are_trivial():
         for p in (11, 13, 17, 19, 23):
             if p == q:
                 continue
-            assert hilbert_symbol(-3, q, Place.finite(p)) == 1
+            assert hilbert_symbol(-3, q, Place(p)) == 1
 
 
 def test_symbol_minus_three_q_at_two_is_trivial():
     for q in [p for p in primes_up_to(100) if p != 2]:
-        assert hilbert_symbol(-3, q, Place.finite(2)) == 1
+        assert hilbert_symbol(-3, q, Place(2)) == 1
 
 
 def test_symbol_frozen_values():
-    assert hilbert_symbol(-1, 3, Place.finite(2)) == -1
-    assert hilbert_symbol(-3, 7, Place.finite(7)) == 1
+    assert hilbert_symbol(-1, 3, Place(2)) == -1
+    assert hilbert_symbol(-3, 7, Place(7)) == 1
 
 
 def test_product_all_trivial_for_unit_form():
@@ -85,13 +85,13 @@ def test_product_all_trivial_for_unit_form():
 
 def test_product_minus_one_minus_one():
     table = hilbert_product(-1, -1)
-    assert table == {Place.infinite(): -1, Place.finite(2): -1}
+    assert table == {Place.infinite(): -1, Place(2): -1}
 
 
 def test_product_minus_three_seven():
     table = hilbert_product(-3, 7)
     assert set(table.values()) == {1}
-    assert set(table) == {Place.infinite(), Place.finite(2), Place.finite(3), Place.finite(7)}
+    assert set(table) == {Place.infinite(), Place(2), Place(3), Place(7)}
 
 
 @given(st.integers(-500, 500).filter(bool), st.integers(-500, 500).filter(bool))
@@ -104,19 +104,19 @@ def test_product_formula(a, b):
 
 @given(NONZERO_SMALL, NONZERO_SMALL, st.sampled_from(SMALL_PRIMES))
 def test_symbol_symmetry(a, b, p):
-    v = Place.finite(p)
+    v = Place(p)
     assert hilbert_symbol(a, b, v) == hilbert_symbol(b, a, v)
 
 
 @given(NONZERO_SMALL, NONZERO_SMALL, NONZERO_SMALL, st.sampled_from(SMALL_PRIMES))
 def test_symbol_bilinear(a, b1, b2, p):
-    v = Place.finite(p)
+    v = Place(p)
     assert hilbert_symbol(a, b1 * b2, v) == hilbert_symbol(a, b1, v) * hilbert_symbol(a, b2, v)
 
 
 @given(NONZERO_SMALL, NONZERO_SMALL, st.integers(-12, 12).filter(bool), st.sampled_from(SMALL_PRIMES))
 def test_symbol_square_invariance(a, b, t, p):
-    v = Place.finite(p)
+    v = Place(p)
     assert hilbert_symbol(a * t * t, b, v) == hilbert_symbol(a, b, v)
     assert hilbert_symbol(a, b, Place.infinite()) == hilbert_symbol(a * t * t, b, Place.infinite())
 
@@ -149,7 +149,7 @@ def test_oracle_rejects_a_p_that_is_not_prime(p, k):
 @given(NONZERO_SMALL, NONZERO_SMALL, st.sampled_from(SMALL_PRIMES))
 def test_oracle_agrees_with_symbol(a, b, p):
     k = lifting_threshold(a, b, p)
-    assert qp_solvable_oracle(a, b, p, k) == (hilbert_symbol(a, b, Place.finite(p)) == 1)
+    assert qp_solvable_oracle(a, b, p, k) == (hilbert_symbol(a, b, Place(p)) == 1)
 
 
 @settings(max_examples=60)
@@ -179,7 +179,7 @@ def test_oracle_first_level_at_large_prime(p):
     start = perf_counter()
     verdict = qp_solvable_oracle(1, b, p, 1)
     assert perf_counter() - start < 0.1
-    assert verdict == (hilbert_symbol(1, b, Place.finite(p)) == 1)
+    assert verdict == (hilbert_symbol(1, b, Place(p)) == 1)
 
 
 def test_oracle_search_holds_only_its_path():
@@ -219,7 +219,7 @@ def test_oracle_agrees_with_symbol_at_high_valuations():
                     for v in units:
                         a, b = p**i * u, -(p**j) * v
                         k = lifting_threshold(a, b, p)
-                        symbol = hilbert_symbol(a, b, Place.finite(p))
+                        symbol = hilbert_symbol(a, b, Place(p))
                         assert qp_solvable_oracle(a, b, p, k) == (symbol == 1), (a, b, p)
 
 
@@ -228,7 +228,7 @@ def test_oracle_with_p_dividing_ab():
     for a, b in [(303, 2), (202, 3), (202, 5), (-101, 5)]:
         k = lifting_threshold(a, b, 101)
         assert k == 3
-        assert qp_solvable_oracle(a, b, 101, k) == (hilbert_symbol(a, b, Place.finite(101)) == 1)
+        assert qp_solvable_oracle(a, b, 101, k) == (hilbert_symbol(a, b, Place(101)) == 1)
 
 
 def test_point_search_frozen_values():
