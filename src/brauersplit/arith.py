@@ -127,7 +127,7 @@ def sqrt_mod(a: int, p: int) -> int | None:
     is 2 and the walk is empty, so the root is a^((p+1)/4).
     """
     a %= p
-    if a < 2 or p == 2:
+    if a < 2:
         return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None

@@ -146,9 +146,8 @@ def _cmd_kummer(args):
 
 
 def _cmd_norm(args):
-    trace = symbol_algebra_norm_trace(
-        SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=args.q, l=args.l)
-    )
+    query = SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=args.q, l=args.l)
+    trace = symbol_algebra_norm_trace(query)
     outputs = {**vars(trace), "case": trace.case.value}
     yield {"alpha": args.alpha, "p": args.p, "q": args.q, "l": args.l}, outputs, None
 
@@ -168,25 +167,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, *positionals):
-        # a positional is an int-valued name, or a (name, help) pair taken as a string
         p = sub.add_parser(name, parents=[common], help=help)
         for arg in positionals:
-            if isinstance(arg, str):
-                p.add_argument(arg, type=int)
-            else:
-                p.add_argument(arg[0], help=arg[1])
+            p.add_argument(arg, type=int)
         p.set_defaults(func=func)
         return p
 
-    p = command("hilbert", _cmd_hilbert, "Hilbert symbol at one place",
-                "alpha", "beta", ("place", "'inf', 2, or an odd prime"))
+    p = command("hilbert", _cmd_hilbert, "Hilbert symbol at one place", "alpha", "beta")
+    p.add_argument("place", help="'inf', 2, or an odd prime")
     p.add_argument("--oracle", action="store_true", help="cross-check with the residue search")
     p = command("quat-split", _cmd_quat_split, "split/division verdict with per-place symbols",
                 "alpha", "beta")
     p.add_argument("--witness", type=int, metavar="H", help="search a conic point up to height H")
     command("represent", _cmd_represent, "solve q = x^2 + n*y^2", "n", "q")
-    p = command("verify", _cmd_verify, "sweep split/congruence/representation equivalences",
-                ("n", "criterion index or 'all'"))
+    p = command("verify", _cmd_verify, "sweep split/congruence/representation equivalences")
+    p.add_argument("n", help="criterion index or 'all'")
     p.add_argument("--bound", type=int, default=1000, metavar="B")
     command("cyclo", _cmd_cyclo, "decomposition type of p in the q-th cyclotomic field", "p", "q")
     command("power-char", _cmd_power_char, "q-power residue character of alpha above p",

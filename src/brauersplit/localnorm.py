@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .arith import require_prime
 from .cyclotomic import (
     SUPPORTED_Q,
     CyclotomicInt,
@@ -41,7 +40,8 @@ class NormTraceCase(Enum):
 @dataclass(frozen=True)
 class SymbolAlgebraQuery:
     """Symbol algebra of degree q over the completion at a prime above p,
-    with parameters (alpha, p1^(q*l))."""
+    with parameters (alpha, p1^(q*l)).  Checks q in SUPPORTED_Q (p1 needs
+    class number one), p != q and l >= 1; the trace tests p is prime, once."""
 
     alpha: int | CyclotomicInt
     p: int
@@ -51,7 +51,6 @@ class SymbolAlgebraQuery:
     def __post_init__(self):
         if self.q not in SUPPORTED_Q:
             raise ValueError(f"q={self.q} unsupported; expected one of {SUPPORTED_Q}")
-        require_prime(self.p)
         if self.p == self.q:
             raise RamifiedPrimeError(f"p = q = {self.p} is outside the unramified analysis")
         if self.l < 1:
@@ -81,19 +80,17 @@ def symbol_algebra_norm_trace(query: SymbolAlgebraQuery) -> SplitTrace:
     means the Kummer extension ramifies at the prime, which the unramified
     norm criterion does not cover.
     """
-    p, q = query.p, query.q
-    ideal = find_prime_ideal(p, q)
+    q, m = query.q, query.q * query.l
+    ideal = find_prime_ideal(query.p, q)  # the one primality test of p
     f_prime = ideal.residue_degree
     chi = power_residue_character(query.alpha, ideal)
-    m = q * query.l
-    f_rel = None if chi.is_zero else 1 if chi.is_trivial else q
     if chi.is_zero:
-        case = NormTraceCase.RAMIFIED
-    elif f_prime == q - 1:
+        return SplitTrace(NormTraceCase.RAMIFIED, f_prime, f_rel=None, m=m, is_norm=None)
+    f_rel = 1 if chi.is_trivial else q
+    if f_prime == q - 1:
         case = NormTraceCase.INERT_BASE
     elif chi.is_trivial:
         case = NormTraceCase.SPLIT_BASE_CHAR_ONE
     else:
         case = NormTraceCase.SPLIT_BASE_CHAR_NONTRIVIAL
-    is_norm = None if f_rel is None else is_norm_unramified(m, f_rel)
-    return SplitTrace(case=case, f_prime=f_prime, f_rel=f_rel, m=m, is_norm=is_norm)
+    return SplitTrace(case, f_prime, f_rel, m, is_norm=is_norm_unramified(m, f_rel))

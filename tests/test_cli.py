@@ -209,13 +209,17 @@ def test_log_environment_variable_is_ignored():
     assert records(proc.stdout)[0]["outputs"] == {"e": 1, "f": 2, "g": 1}
 
 
-def test_character_commands_reject_the_twelve_base_pseudoprime():
+def test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q():
     # psi_12 once reached Cantor-Zassenhaus modulo a composite; as a place
-    # it must be a usage error, and promptly
+    # it must be a usage error, and promptly.  So must q = 2 and a q far
+    # past SUPPORTED_Q, the CLI's only bound on the size of Phi_q.
     src = str(Path(brauersplit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     psi12 = "318665857834031151167461"
-    for argv in (["power-char", "2", psi12, "3"], ["kummer", "2", psi12, "3"], ["norm", "2", psi12, "3", "1"]):
+    argvs = []
+    for p, q in ((psi12, "3"), ("7", "1000003"), ("7", "2")):
+        argvs += [["power-char", "2", p, q], ["kummer", "2", p, q], ["norm", "2", p, q, "1"]]
+    for argv in argvs:
         proc = subprocess.run(
             [sys.executable, "-m", "brauersplit.cli", *argv],
             capture_output=True, text=True, timeout=10, env=env,

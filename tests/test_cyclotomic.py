@@ -324,6 +324,8 @@ def test_find_prime_ideal_rejects():
         find_prime_ideal(7, 7)
     with pytest.raises(ValueError):
         find_prime_ideal(5, 23)
+    with pytest.raises(ValueError):
+        find_prime_ideal(7, 2)
 
 
 def test_factorization_is_complete_and_irreducible():

@@ -33,8 +33,9 @@ def test_query_validation():
         SymbolAlgebraQuery(alpha=2, p=7, q=23, l=1)
     with pytest.raises(RamifiedPrimeError):
         SymbolAlgebraQuery(alpha=2, p=3, q=3, l=1)
-    with pytest.raises(ValueError):
-        SymbolAlgebraQuery(alpha=2, p=6, q=3, l=1)
+    with pytest.raises(ValueError, match="6 is not a prime"):
+        # p is tested once, by the trace's prime ideal, not at construction
+        symbol_algebra_norm_trace(SymbolAlgebraQuery(alpha=2, p=6, q=3, l=1))
     with pytest.raises(ValueError):
         SymbolAlgebraQuery(alpha=2, p=7, q=3, l=0)
 
