@@ -17,12 +17,15 @@ any commutative ring of characteristic p, so reducing the result mod Phi_q,
 or mod any factor of it, gives the power modulo that factor.
 `poly_pow_mod` is the general power: pow(c, e, p) for a base that is a
 constant c mod g, square-and-multiply otherwise.  The character raises u to
-(p^d - 1)/q modulo some h | Phi_q, or x^q - 1, where x^q = 1: Frobenius
-sigma(v) = v^p = v(x^(p mod q)) is linear and costs one reduction at most,
-and `_PackedRing.power` runs A_(j+1) = sigma(A_j) u^floor(p r_j / q),
-r_(j+1) = p r_j mod q from A_0 = r_0 = 1 to A_d = u^((p^d - 1)/q).  Since
-u^floor(p r / q) = B^r u^floor(r (p mod q) / q) with B = u^floor(p / q), that
-is one log2(p)-bit power and fewer than q + d further products, where plain
+(p^d - 1)/q modulo some h | Phi_q, or x^q - 1, where x^q = 1.  A constant u
+has u^(p-1) = 1 unless p | u, so its exponent is taken mod p - 1; at d > 1, q
+does not divide p - 1, so q(p - 1) | p^d - 1 and u gives 1 (or 0).  Else
+Frobenius sigma(v) = v^p = v(x^(p mod q)) is a GF(p)-linear map built once
+per ring (a slot permutation modulo x^q - 1), and `_PackedRing.power` runs
+A_(j+1) = sigma(A_j) u^floor(p r_j / q), r_(j+1) = p r_j mod q from
+A_0 = r_0 = 1 to A_d = u^((p^d - 1)/q).  Since u^floor(p r / q) =
+B^r u^floor(r (p mod q) / q) with B = u^floor(p / q), that is one
+log2(p)-bit power and fewer than q + d further products, where plain
 square-and-multiply takes d log2(p).  A modulus whose leading coefficient
 vanishes mod p raises ZeroDivisionError.
 
@@ -129,23 +132,25 @@ class _PackedRing:
         self.p, self.q = p, q
         # w holds every unreduced slot: modulo x^q - 1 a product slot, a sum
         # of q terms each at most (p-1)^2; modulo g a folded product, below
-        # n^2 (p-1)^3, and `image`'s sum of fewer than q such terms
+        # n^2 (p-1)^3, and the sums of fewer than q such terms (n < q in
+        # `frobenius`) that `image` and `frobenius` form
         terms = q if self.wrap else max(n * n * (p - 1), q)
         self.w = w = (terms * (p - 1) ** 2).bit_length()
         self.slot = (1 << w) - 1
         self.lomask = (1 << (n * w)) - 1
         self.low = range(0, n * w, w)
         self.xs = xs = [1 << s for s in self.low]
-        if self.wrap:
-            return
-        # x^n = -(g_0 + ... + g_(n-1) x^(n-1)) / g_n; x^(j+1) = x * x^j
-        # with its slot n folded back through x^n
-        inv = _lead_inverse(g, p)
-        xn = self.pack([-c * inv % p for c in g[:-1]])
-        while len(xs) < max(2 * n - 1, q):
-            t = xs[-1] << w
-            xs.append(self.reduce((t & self.lomask) + (t >> n * w) * xn))
-        self.fold = list(zip(range(n * w, (2 * n - 1) * w, w), xs[n:]))
+        if not self.wrap:
+            # x^n = -(g_0 + ... + g_(n-1) x^(n-1)) / g_n; x^(j+1) = x * x^j
+            # with its slot n folded back through x^n
+            inv = _lead_inverse(g, p)
+            xn = self.pack([-c * inv % p for c in g[:-1]])
+            while len(xs) < max(2 * n - 1, q):
+                t = xs[-1] << w
+                xs.append(self.reduce((t & self.lomask) + (t >> n * w) * xn))
+            self.fold = list(zip(range(n * w, (2 * n - 1) * w, w), xs[n:]))
+        if q:  # Frobenius sends slot i to x^(i p mod q)
+            self.frob = list(zip(self.low, (xs[i * (p % q) % q] for i in range(n))))
 
     def pack(self, coeffs) -> int:
         return sum(c << s for c, s in zip(coeffs, self.low))
@@ -180,13 +185,17 @@ class _PackedRing:
                 acc = self.mul(acc, a)
         return acc
 
-    def image(self, coeffs, s: int = 1) -> int:
-        # sum of (c mod p) x^(i s mod q) over coeffs[i], as x^q = 1 modulo
-        # g | Phi_q: the image of an element of Z[zeta_q] at s = 1 (zeta to
-        # x), Frobenius v^p = v(x^(p mod q)) at s = p mod q.  Modulo x^q - 1
-        # it only moves slots: i s mod q differ for the at most q coeffs.
-        q, xs, p = self.q, self.xs, self.p
-        v = sum(c % p * xs[i * s % q] for i, c in enumerate(coeffs) if c)
+    def image(self, coeffs) -> int:
+        # sum of (c mod p) x^i over the fewer than q coeffs[i]: the image of
+        # an element of Z[zeta_q], zeta to x.  Modulo x^q - 1 each slot
+        # holds one term below p, so it needs no reduction.
+        xs, p = self.xs, self.p
+        v = sum(c % p * xs[i] for i, c in enumerate(coeffs) if c)
+        return v if self.wrap else self.reduce(v)
+
+    def frobenius(self, v: int) -> int:
+        # v^p = v(x^(p mod q)) for a reduced v; modulo x^q - 1 slots only move
+        v = sum((v >> s & self.slot) * x for s, x in self.frob)
         return v if self.wrap else self.reduce(v)
 
     def exponent(self, v: int) -> int:
@@ -195,14 +204,15 @@ class _PackedRing:
         if not self.wrap:
             return self.xs.index(v)
         slots = [v >> s & self.slot for s in self.low]
-        return slots.index(min(slots, key=slots.count))
+        c = sorted(slots[:3])[1]  # q >= 3, and at most one of them is not c
+        return next(k for k, x in enumerate(slots) if x != c)
 
     def power(self, a: int, d: int) -> int:
         """a^((p^d - 1)/q) for a packed, reduced a, g | Phi_q and
         q | p^d - 1, by the Frobenius recurrence of the module docstring."""
         p, q = self.p, self.q
-        if a < p:  # only slot 0 is set: a constant
-            return pow(a, (p**d - 1) // q, p)
+        if a < p:  # a constant: by Fermat, with 0^(p-1) = 0 where p - 1 | e
+            return pow(a, (p**d - 1) // q % (p - 1) or p - 1, p)
         rs = [pow(p, j, q) for j in range(d)]
         # F[r] = a^floor(p r / q): F[r-1] * F[1], times a when floor(r (p mod q) / q) steps
         b = self.pow(a, p // q)
@@ -212,7 +222,7 @@ class _PackedRing:
             F.append(self.mul(F[-1], ab if r * pq // q > (r - 1) * pq // q else b))
         acc = b
         for r in rs[1:]:
-            acc = self.mul(self.image(self.unpack(acc), pq), F[r])
+            acc = self.mul(self.frobenius(acc), F[r])
         return acc
 
 
@@ -274,7 +284,7 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
         t = ring.unpack(ring.reduce(ring.pow(u, (p - 1) // 2 or 1) + p - 1))
         pieces = []
         for h in factors:
-            w = poly_gcd(h, t, p)
+            w = poly_gcd(h, t, p) if len(h) - 1 > f else h  # degree f: irreducible
             pieces += [w, poly_divmod(h, w, p)[0]] if 0 < len(w) - 1 < len(h) - 1 else [h]
         factors = pieces
     return tuple(sorted(tuple(g) for g in factors))

@@ -175,21 +175,38 @@ def test_frobenius_power_matches_pow_mod():
 
 
 def test_image_of_the_largest_coefficients_in_residue_rings():
-    # q - 1 coefficients p - 1 put the largest sums `image` forms into its
-    # slots; at s = 1 and s = p mod q the result, reduced mod g, is still the
-    # reduction of the sum of (p - 1) x^(i s)
+    # q - 1 coefficients p - 1 put the largest sum `image` forms into its
+    # slots; the result is still the reduction of the sum of (p - 1) x^i
     for q in SUPPORTED_Q:
         for p in primes_up_to(50):
             if p == q:
                 continue
             for g in factor_cyclotomic_mod_p(q, p):
                 ring = _PackedRing(list(g), p, q)
-                for s in (1, p % q):
-                    poly = [0] * ((q - 2) * s + 1)
-                    for i in range(q - 1):
-                        poly[i * s] = p - 1
-                    got = poly_mod(ring.unpack(ring.image([p - 1] * (q - 1), s)), list(g), p)
-                    assert got == poly_mod(poly, list(g), p), (q, p, g, s)
+                got = ring.unpack(ring.image([p - 1] * (q - 1)))
+                assert got == poly_mod([p - 1] * (q - 1), list(g), p), (q, p, g)
+
+
+def test_frobenius_of_the_largest_slots():
+    # every slot p - 1 puts the largest sums `frobenius` forms into its
+    # slots; the result is the substitution v(x^(p mod q)) reduced by the
+    # ring's modulus, and it is v^p
+    for q in SUPPORTED_Q:
+        x_q_minus_1 = [-1] + [0] * (q - 1) + [1]
+        for p in (*primes_up_to(50), 10**18 + 9):
+            if p == q:
+                continue
+            s = p % q
+            for h in [cyclotomic_polynomial(q)] + [list(h) for h in factor_cyclotomic_mod_p(q, p)]:
+                ring = _PackedRing(h, p, q)
+                g = x_q_minus_1 if ring.wrap else h
+                n = len(g) - 1
+                poly = [0] * ((n - 1) * s + 1)
+                for i in range(n):
+                    poly[i * s] = p - 1
+                want = poly_mod(poly, g, p)
+                assert want == schoolbook_pow_mod([p - 1] * n, p, g, p), (q, p, g)
+                assert ring.unpack(ring.frobenius(ring.pack([p - 1] * n))) == want, (q, p, g)
 
 
 def test_product_of_the_largest_slots_modulo_x_q_minus_1():
@@ -205,6 +222,22 @@ def test_product_of_the_largest_slots_modulo_x_q_minus_1():
             top = [p - 1] * q
             want = poly_mod(poly_mul(top, top, p), x_q_minus_1, p)
             assert ring.unpack(ring.mul(ring.pack(top), ring.pack(top))) == want, (q, p)
+
+
+def test_constant_power_is_taken_mod_p_minus_1():
+    # a constant c has c^((p^f - 1)/q) = 1 for c != 0 and 0 for c = 0 at
+    # f > 1, and pow(c, (p - 1)/q, p) at f = 1, in every ring of a factor of
+    # Phi_q and in the ring of Phi_q itself
+    for q in SUPPORTED_Q:
+        for p in (*primes_up_to(60), 999983, 10**18 + 9):
+            if p == q:
+                continue
+            f = multiplicative_order(p, q)
+            for g in [cyclotomic_polynomial(q)] + [list(g) for g in factor_cyclotomic_mod_p(q, p)]:
+                ring = _PackedRing(g, p, q)
+                for c in {0, 1, 2 % p, p - 1}:
+                    want = pow(c, (p - 1) // q, p) if f == 1 else int(c != 0)
+                    assert ring.power(c, f) == want, (q, p, g, c)
 
 
 def test_short_dividend_is_reduced_and_trimmed():
@@ -412,7 +445,7 @@ def test_trials_are_fixed_by_frobenius(monkeypatch):
 
     def recording(ring, a, e):
         if ring.wrap:
-            assert ring.image(ring.unpack(a), ring.p % ring.q) == a, (ring.q, ring.p, ring.unpack(a))
+            assert ring.frobenius(a) == a, (ring.q, ring.p, ring.unpack(a))
             assert trials[-1] < 20, (ring.q, ring.p)
             trials[-1] += 1
         return pow_(ring, a, e)
@@ -425,6 +458,20 @@ def test_trials_are_fixed_by_frobenius(monkeypatch):
                 factor_cyclotomic_mod_p.cache_clear()
                 factor_cyclotomic_mod_p(q, p)
     assert max(trials) > 0
+
+
+def test_exponent_reads_x_to_the_k_plus_a_multiple_of_phi():
+    # modulo x^q - 1 a character value is x^k + c Phi_q for some constant c
+    for q in SUPPORTED_Q:
+        for p in (2, 3, 5, 101, 999983, 10**18 + 9):
+            if p == q:
+                continue
+            ring = _PackedRing(cyclotomic_polynomial(q), p, q)
+            for c in (0, 1, p - 1):
+                for k in range(q):
+                    slots = [c] * q
+                    slots[k] = (c + 1) % p
+                    assert ring.exponent(ring.pack(slots)) == k, (q, p, c, k)
 
 
 def test_factor_list_is_sorted():
@@ -594,6 +641,21 @@ def test_kummer_examples():
     assert kummer_splitting(7, 7, 3) is SplittingClass.RAMIFIED
     assert kummer_splitting(1, 7, 3) is SplittingClass.SPLIT
     assert kummer_splitting(2, 7, 3) is SplittingClass.INERT
+
+
+def test_integer_alpha_splits_when_f_exceeds_1():
+    # at f > 1, q does not divide p - 1, so q (p - 1) divides p^f - 1 and an
+    # integer alpha has character 1, or 0 when p | alpha
+    for q in SUPPORTED_Q:
+        for p in primes_up_to(500):
+            if p == q or (f := multiplicative_order(p, q)) == 1:
+                continue
+            g = list(find_prime_ideal(p, q).g)
+            for alpha in (2, -3, p - 1, p, -2 * p, 1000003):
+                chi = schoolbook_pow_mod([alpha], (p**f - 1) // q, g, p)
+                assert chi == ([] if alpha % p == 0 else [1]), (q, p, alpha)
+                want = SplittingClass.RAMIFIED if alpha % p == 0 else SplittingClass.SPLIT
+                assert kummer_splitting(alpha, p, q) is want, (q, p, alpha)
 
 
 def test_kummer_rejects_zero():
