@@ -29,9 +29,9 @@ log2(p)-bit power and fewer than q + d further products, where plain
 square-and-multiply takes d log2(p).  A modulus whose leading coefficient
 vanishes mod p raises ZeroDivisionError.
 
-A prime ideal of Z[zeta_q] above p is stored as (p, g) with g a monic
-irreducible factor of Phi_q mod p.  By Kummer-Dedekind these are all the
-primes above p, so an ideal is valid iff g is in `factor_cyclotomic_mod_p`.
+A prime of Z[zeta_q] above p, for every odd prime q, is stored as (p, g),
+g a monic irreducible factor of Phi_q mod p (Kummer-Dedekind: these are all
+the primes above p); an ideal is valid iff g is in `factor_cyclotomic_mod_p`.
 Every factor has degree f = ord(p mod q).  At f = q - 1 the factor is Phi_q;
 at f = 1 the factors are x - r^k, k = 1..q-1, for one root of unity r != 1
 in GF(p); in between, Cantor-Zassenhaus splits Phi_q in the ring of x^q - 1
@@ -41,8 +41,6 @@ GF(p)[x]/(g), whose ring is built once per ideal (modulo x^q - 1 when g =
 Phi_q).  zeta maps to x, whose powers x^k, k < q, are distinct as p != q, so
 the character zeta^k is read off as the k with xs[k] equal to the power;
 modulo x^q - 1 the power is x^k + c Phi_q, and slot k alone differs.
-The ideal machinery is limited to q in {3, 5, 7, 11, 13, 17, 19}, where
-Z[zeta_q] is a principal ideal domain.
 """
 
 from __future__ import annotations
@@ -54,6 +52,7 @@ from functools import lru_cache
 
 from .arith import multiplicative_order, require_prime
 
+# class number one, so `SymbolAlgebraQuery` has its p1; also the benchmark's q
 SUPPORTED_Q = (3, 5, 7, 11, 13, 17, 19)
 
 # Entries of each per-prime cache below: far above the 56 (p, q) pairs of a
@@ -238,10 +237,15 @@ def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
     return ring.unpack(ring.pow(ring.pack(f), e))
 
 
+@lru_cache(maxsize=64)
+def _check_order(q: int) -> int:
+    # the one test of q, once per distinct q; a bad q raises, so is never cached
+    return require_prime(q, odd=True)
+
+
 def cyclotomic_polynomial(q: int) -> list[int]:
-    """Phi_q = 1 + x + ... + x^(q-1) for prime q."""
-    require_prime(q)
-    return [1] * q
+    """Phi_q = 1 + x + ... + x^(q-1) for odd prime q."""
+    return [1] * _check_order(q)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -293,13 +297,6 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 # cyclotomic integers
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def _check_order(q: int) -> int:
-    # require_prime once per distinct q, not on every ring operation; a bad q
-    # raises and so is never cached
-    return require_prime(q, odd=True)
 
 
 @dataclass(frozen=True)
@@ -409,10 +406,7 @@ class PrimeIdealRep:
 def find_prime_ideal(p: int, q: int) -> PrimeIdealRep:
     """The prime above p whose factor polynomial is lexicographically
     smallest among the monic irreducible factors of Phi_q mod p."""
-    if q not in SUPPORTED_Q:
-        raise ValueError(f"q={q} unsupported; expected one of {SUPPORTED_Q}")
-    factors = factor_cyclotomic_mod_p(q, p)
-    return PrimeIdealRep(p=p, q=q, g=factors[0])
+    return PrimeIdealRep(p=p, q=q, g=factor_cyclotomic_mod_p(q, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +447,8 @@ class PowerCharValue:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _residue_ring(ideal: PrimeIdealRep) -> _PackedRing:
-    if ideal.q not in SUPPORTED_Q or ideal.g not in factor_cyclotomic_mod_p(ideal.q, ideal.p):
-        raise ValueError(f"{ideal}: need q in {SUPPORTED_Q} and g a factor of Phi_q mod p")
+    if ideal.g not in factor_cyclotomic_mod_p(ideal.q, ideal.p):
+        raise ValueError(f"{ideal}: g is not a factor of Phi_q mod p")
     return _PackedRing(list(ideal.g), ideal.p, ideal.q)
 
 

@@ -11,6 +11,8 @@ import pytest
 import brauersplit
 import brauersplit.cli
 from brauersplit.cli import ReportRecord, main
+from brauersplit.cyclotomic import poly_divmod, poly_mod
+from poly_reference import schoolbook_pow_mod
 
 
 def run_cli(capsys, *argv):
@@ -211,13 +213,15 @@ def test_log_environment_variable_is_ignored():
 
 def test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q():
     # psi_12 once reached Cantor-Zassenhaus modulo a composite; as a place
-    # it must be a usage error, and promptly.  So must q = 2 and a q far
-    # past SUPPORTED_Q, the CLI's only bound on the size of Phi_q.
+    # it must be a usage error, and promptly.  So must q = 2, and a q past
+    # the CLI's bound q < 100 on the size of Phi_q (101, the first prime
+    # past it, and one far past it); `norm` refuses every q outside
+    # SUPPORTED_Q, where a prime element p1 exists.
     src = str(Path(brauersplit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     psi12 = "318665857834031151167461"
     argvs = []
-    for p, q in ((psi12, "3"), ("7", "1000003"), ("7", "2")):
+    for p, q in ((psi12, "3"), ("7", "1000003"), ("7", "101"), ("7", "2")):
         argvs += [["power-char", "2", p, q], ["kummer", "2", p, q], ["norm", "2", p, q, "1"]]
     for argv in argvs:
         proc = subprocess.run(
@@ -297,6 +301,43 @@ def test_power_char(capsys):
 
     code, out, _ = run_cli(capsys, "power-char", "7", "7", "3")
     assert records(out)[0]["outputs"]["value"] == "zero"
+
+
+POWER_CHAR_AT_Q_23 = (
+    '{"command":"power-char","inputs":{"alpha":2,"p":1000000000000000003,"q":23},'
+    '"outputs":{"ideal_factor":[1000000000000000002,415331165012195691,415331165012195694,4,'
+    '584668834987804315,169337669975608622,169337669975608618,584668834987804308,'
+    '999999999999999999,415331165012195689,415331165012195692,1],"value":0},"witness":null}'
+)
+
+
+def test_power_char_at_q_23_against_schoolbook_powers(capsys):
+    # the record CI pins: its factor is a monic irreducible factor of Phi_23
+    # of degree f = ord(p mod 23) = 11, and its value is the k with
+    # 2^((p^11 - 1)/23) = x^k mod g, all by schoolbook powers
+    p, q, f = 10**18 + 3, 23, 11
+    code, out, _ = run_cli(capsys, "power-char", "2", str(p), str(q))
+    assert (code, out) == (0, POWER_CHAR_AT_Q_23 + "\n")
+    g = json.loads(out)["outputs"]["ideal_factor"]
+    assert len(g) == f + 1 and g[-1] == 1
+    assert not poly_divmod([1] * q, g, p)[1]
+    x, frobs = [0, 1], []
+    for _ in range(f):
+        x = schoolbook_pow_mod(x, p, g, p)
+        frobs.append(x)
+    assert [d + 1 for d, v in enumerate(frobs) if v == [0, 1]] == [f]  # irreducible
+    power = schoolbook_pow_mod([2], (p**f - 1) // q, g, p)
+    assert power == poly_mod([0] * json.loads(out)["outputs"]["value"] + [1], g, p)
+
+
+def test_character_commands_take_every_odd_q_below_the_bound(capsys):
+    for q in (23, 53, 97):
+        for command in ("power-char", "kummer"):
+            code, out, err = run_cli(capsys, command, "2", str(10**18 + 3), str(q))
+            assert (code, err) == (0, ""), (command, q)
+    # the slowest pair found for the bound: q = 97, f = 2, p just below psi_13
+    rec = run_cli_subprocess("power-char", "2", "3317044064679886386006299", "97")
+    assert len(rec["outputs"]["ideal_factor"]) == 3
 
 
 def test_kummer(capsys):

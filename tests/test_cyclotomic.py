@@ -355,10 +355,36 @@ def test_find_prime_ideal_matches_enumeration():
 def test_find_prime_ideal_rejects():
     with pytest.raises(RamifiedPrimeError):
         find_prime_ideal(7, 7)
-    with pytest.raises(ValueError):
-        find_prime_ideal(5, 23)
-    with pytest.raises(ValueError):
-        find_prime_ideal(7, 2)
+    for q in (2, 9, 1):
+        with pytest.raises(ValueError):
+            find_prime_ideal(7, q)
+
+
+def test_prime_ideals_of_every_odd_prime_q_are_accepted():
+    # no class number enters: for any odd prime q the primes above p are the
+    # (p, g) with g an irreducible factor of Phi_q mod p; at (23, 5) g is
+    # Phi_23 itself (f = 22), and (101, 3) is past every bound of the CLI
+    for q, p in ((23, 5), (23, 2), (29, 59), (37, 3), (101, 3), (97, 10**18 + 9)):
+        ideal = find_prime_ideal(p, q)
+        assert ideal.residue_degree == multiplicative_order(p, q), (q, p)
+        assert not poly_divmod(cyclotomic_polynomial(q), list(ideal.g), p)[1], (q, p)
+    assert find_prime_ideal(5, 23).g == (1,) * 23
+    # the character takes a true factor at q = 23: an odd alpha is 1 in GF(2),
+    # and chi(zeta) = zeta^((2^11 - 1)/23) at this prime of degree 11
+    ideal = PrimeIdealRep(p=2, q=23, g=factor_cyclotomic_mod_p(23, 2)[0])
+    assert power_residue_character(3, ideal) == PowerCharValue.root(23, 0)
+    assert power_residue_character(CyclotomicInt.zeta(23), ideal) == PowerCharValue.root(23, 89)
+
+
+def test_q_2_is_refused_by_the_one_check():
+    # Phi_2 = x + 1, and the ring of x^2 - 1 would read x as zeta^0, a wrong
+    # character: every entry refuses q = 2 through _check_order
+    calls = (lambda: cyclotomic_polynomial(2), lambda: factor_cyclotomic_mod_p(2, 7),
+             lambda: find_prime_ideal(7, 2), lambda: CyclotomicInt(2, (1,)),
+             lambda: power_residue_character(2, PrimeIdealRep(p=7, q=2, g=(1, 1))))
+    for call in calls:
+        with pytest.raises(ValueError, match="prime must be odd"):
+            call()
 
 
 def test_factorization_is_complete_and_irreducible():
@@ -678,7 +704,69 @@ def test_character_rejects_malformed_ideal():
         # monic of degree f = ord(2 mod 7) = 3, but x^3 + 1 = (x + 1)(x^2 + x + 1) mod 2
         power_residue_character(3, PrimeIdealRep(p=2, q=7, g=(1, 0, 0, 1)))
     with pytest.raises(ValueError):
-        # a true factor, but q = 23 is outside the supported orders
-        power_residue_character(3, PrimeIdealRep(p=2, q=23, g=factor_cyclotomic_mod_p(23, 2)[0]))
+        # monic of degree f = ord(2 mod 23) = 11, but x^11 + 1 is no factor of Phi_23 mod 2
+        power_residue_character(3, PrimeIdealRep(p=2, q=23, g=(1,) + (0,) * 10 + (1,)))
+    with pytest.raises(ValueError):
+        power_residue_character(2, PrimeIdealRep(p=2, q=9, g=(1, 1, 1)))  # q = 9 is no prime
     with pytest.raises(ValueError):
         power_residue_character(2, PrimeIdealRep(p=3, q=2, g=(1, 1)))  # Phi_2 = x + 1, q even
+
+
+# ---------------------------------------------------------------------------
+# odd prime q past the class-number-one range
+# ---------------------------------------------------------------------------
+
+
+def _random_element(rng, q, p):
+    return CyclotomicInt(q, tuple(rng.randrange(-p, p) for _ in range(q - 1)))
+
+
+def test_character_against_schoolbook_powers_past_q_19():
+    # criterion 9's sweep for q in 23, 29, 31, 37: every residue field of size
+    # at most 2500, and there the exact k of chi(alpha) = zeta^k, read off the
+    # schoolbook alpha^((p^f - 1)/q) mod g, for integers and Z[zeta_q]
+    rng = random.Random(23)
+    fields = extension_fields = 0
+    for q in (23, 29, 31, 37):
+        for p in primes_up_to(2500):
+            f = multiplicative_order(p, q) if p != q else 0
+            if not f or p**f > 2500:
+                continue
+            ideal = find_prime_ideal(p, q)
+            g, e = list(ideal.g), (p**f - 1) // q
+            xk = [poly_mod([0] * k + [1], g, p) for k in range(q)]
+            alphas = [*range(1, min(p, 30)), p, -2 * p] + [_random_element(rng, q, p) for _ in range(4)]
+            for alpha in alphas:
+                power = schoolbook_pow_mod(list(getattr(alpha, "coeffs", [alpha])), e, g, p)
+                chi = power_residue_character(alpha, ideal)
+                assert chi.k == (xk.index(power) if power else None), (alpha, p, q)
+            fields += 1
+            extension_fields += f > 1
+    assert (fields, extension_fields) == (52, 3)
+
+
+def test_character_multiplicative_at_q_23():
+    # f = 11, 22, 1, 2, 11 and 22, the last two near 10^18
+    rng = random.Random(29)
+    for p in (2, 5, 47, 137, 10**18 + 9, 1000000000000000931):
+        ideal = find_prime_ideal(p, 23)
+        elements = [CyclotomicInt.from_int(23, a) for a in (2, 3, p)]
+        elements += [_random_element(rng, 23, p) for _ in range(4)]
+        for a in elements:
+            for b in elements:
+                want = power_residue_character(a, ideal) * power_residue_character(b, ideal)
+                assert power_residue_character(a * b, ideal) == want, (a, b, p)
+
+
+def test_kummer_splitting_follows_the_character_at_q_23():
+    rng = random.Random(31)
+    seen = set()
+    for p in (2, 5, 47, 139, 137, 10**18 + 9):
+        ideal = find_prime_ideal(p, 23)
+        for alpha in (2, 3, p, -2 * p, *(_random_element(rng, 23, p) for _ in range(4))):
+            chi = power_residue_character(alpha, ideal)
+            want = (SplittingClass.RAMIFIED if chi.is_zero
+                    else SplittingClass.SPLIT if chi.is_trivial else SplittingClass.INERT)
+            assert kummer_splitting(alpha, p, 23) is want, (alpha, p)
+            seen.add(want)
+    assert seen == set(SplittingClass)
