@@ -131,8 +131,7 @@ def _cmd_cyclo(args):
 
 
 def _small_q(q: int) -> int:
-    # the CLI's bound on Phi_q: for q < 100, cold factoring plus two characters
-    # took at most 0.56 s at primes p near psi_13 (Python 3.11, 2-vCPU Xeon)
+    # bound on Phi_q: the slowest call found, power-char 2 3317044064679886386006299 97, took 0.52 s (2 vCPUs)
     if q >= 100:
         raise ValueError(f"q={q} is too large; power-char and kummer take q < 100")
     return q
@@ -141,7 +140,10 @@ def _small_q(q: int) -> int:
 def _cmd_power_char(args):
     ideal = find_prime_ideal(args.p, _small_q(args.q))
     chi = power_residue_character(args.alpha, ideal)
-    outputs = {"value": "zero" if chi.is_zero else chi.k, "ideal_factor": list(ideal.g)}
+    outputs = {
+        "value": "zero" if chi.is_zero else chi.k,
+        "ideal_factor": list(ideal.g),
+    }
     yield {"alpha": args.alpha, "p": args.p, "q": args.q}, outputs, None
 
 

@@ -1,6 +1,6 @@
 """Mutation runner: every mutant of `table.MUTANTS` must be killed.
 
-    python3 tests/mutants/run.py [--timeout SECONDS] [NAME ...]
+    python3 tests/mutants/run.py
 
 Copies `src` to a temporary directory, first runs every named test on the
 unmutated copy (they must pass), then applies one mutant at a time to the
@@ -9,12 +9,11 @@ under a per-mutant timeout, restoring the file after each.  One JSON line on
 stdout for the unmutated run (mutant null, status passed), then one per
 mutant, with status killed, survived, timeout, error (pytest could
 not run the tests, e.g. a node id that no longer exists) or snippet-missing
-(the snippet is not in the file exactly once).  Exits 1 on a survivor that is
-not a listed equivalent mutant, an equivalent mutant that is killed, an error
-or a missing snippet, so a refactor that moves a snippet updates the table.
+(the snippet is not in the file exactly once).  Exits 1 on a survivor, an
+error or a missing snippet, so a refactor that moves a snippet updates the
+table.
 """
 
-import argparse
 import json
 import os
 import shutil
@@ -27,6 +26,7 @@ from pathlib import Path
 from table import MUTANTS
 
 ROOT = Path(__file__).resolve().parents[2]
+TIMEOUT = 120  # seconds per pytest run; a mutant that loops counts as killed
 
 
 def environment(src: Path) -> dict:
@@ -34,25 +34,17 @@ def environment(src: Path) -> dict:
     return {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
-def run_tests(src: Path, tests, timeout: float) -> str:
+def run_tests(src: Path, tests) -> str:
     env = environment(src)
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        code = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=timeout).returncode
+        code = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT).returncode
     except subprocess.TimeoutExpired:
         return "timeout"
     return {0: "passed", 1: "failed"}.get(code, "error")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=120, help="seconds per mutant")
-    args = parser.parse_args()
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such mutant: {sorted(unknown)}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
@@ -64,13 +56,13 @@ def main() -> int:
             print(json.dumps({"mutant": None, "status": "error", "imported": where.strip()}))
             return 1
         start = time.perf_counter()
-        tests = sorted({t for m in mutants for t in m.tests})
-        baseline = run_tests(src, tests, args.timeout)
+        tests = sorted({t for m in MUTANTS for t in m.tests})
+        baseline = run_tests(src, tests)
         print(json.dumps({"mutant": None, "status": baseline, "tests": len(tests),
                           "seconds": round(time.perf_counter() - start, 2)}), flush=True)
         if baseline != "passed":  # the unmutated tests must pass
             return 1
-        for m in mutants:
+        for m in MUTANTS:
             start = time.perf_counter()
             path = src / Path(m.file).relative_to("src")
             original = path.read_text()
@@ -79,17 +71,13 @@ def main() -> int:
             else:
                 path.write_text(original.replace(m.snippet, m.replacement))
                 try:
-                    outcome = run_tests(src, m.tests, args.timeout)
+                    outcome = run_tests(src, m.tests)
                     status = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
                 finally:
                     path.write_text(original)
-            ok = status in ("killed", "timeout") if m.equivalent is None else status == "survived"
-            failed |= not ok
-            record = {"mutant": m.name, "file": m.file, "status": status, "ok": ok,
-                      "seconds": round(time.perf_counter() - start, 2)}
-            if m.equivalent:
-                record["equivalent"] = m.equivalent
-            print(json.dumps(record), flush=True)
+            failed |= status not in ("killed", "timeout")
+            print(json.dumps({"mutant": m.name, "file": m.file, "status": status,
+                              "seconds": round(time.perf_counter() - start, 2)}), flush=True)
     return 1 if failed else 0
 
 

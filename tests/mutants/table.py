@@ -1,9 +1,7 @@
 """The mutants of `src/` and the tests that must kill them.
 
 Each entry replaces one exact snippet, which must occur exactly once in its
-file, and names the test node ids that should fail on the mutant.  An entry
-with `equivalent` set is a mutant that no test can kill, kept with the reason
-so that nobody deletes the tests or the code it seems to leave uncovered.
+file, and names the test node ids that should fail on the mutant.
 """
 
 from typing import NamedTuple
@@ -15,7 +13,6 @@ class Mutant(NamedTuple):
     snippet: str
     replacement: str
     tests: tuple[str, ...]
-    equivalent: str | None = None
 
 
 CYCLO = "src/brauersplit/cyclotomic.py"
@@ -57,6 +54,7 @@ MUTANTS = (
         "pow(a, (p**d - 1) // q % (p - 1), p)",
         (TC + "test_constant_power_is_taken_mod_p_minus_1",),
     ),
+    # (xs[i * p % q] ...) would be equivalent, not a mutant: i p = i (p mod q) mod q
     Mutant(
         "Frobenius index reduced mod n, not mod q",
         CYCLO,
@@ -116,13 +114,5 @@ MUTANTS = (
         "if q >= 100:",
         "if q > 101:",
         ("tests/test_cli.py::test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q",),
-    ),
-    Mutant(
-        "Frobenius index i p mod q (sigma with s = p)",
-        CYCLO,
-        "(xs[i * (p % q) % q] for i in range(n))",
-        "(xs[i * p % q] for i in range(n))",
-        (TC + "test_frobenius_of_the_largest_slots",),
-        equivalent="i p = i (p mod q) mod q, so the same slot map",
     ),
 )
