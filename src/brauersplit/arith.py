@@ -64,12 +64,12 @@ def is_prime(n: int) -> bool:
     raise Inconclusive(f"{n} is a strong probable prime to the bases 2..41, not certified")
 
 
-def require_prime(p: int, *, odd: bool = False) -> int:
-    """Validate that p is a (positive) certified prime; return it."""
+def require_prime(p: int, *, odd: bool = False, name: str = "p") -> int:
+    """Validate that p, the argument `name`, is a certified prime; return it."""
     if p < 2 or not is_prime(p):
-        raise ValueError(f"{p} is not a prime")
+        raise ValueError(f"{name} = {p} is not a prime")
     if odd and p == 2:
-        raise ValueError("prime must be odd")
+        raise ValueError(f"{name} = 2: prime must be odd")
     return p
 
 

@@ -131,9 +131,9 @@ def _cmd_cyclo(args):
 
 
 def _small_q(q: int) -> int:
-    # bound on Phi_q: the slowest call found, power-char 2 3317044064679886386006299 97, took 0.52 s (2 vCPUs)
+    # bound on Phi_q: each command's slowest call found, 2 3317044064679886386006299 97, took <= 0.63 s (2 vCPUs)
     if q >= 100:
-        raise ValueError(f"q={q} is too large; power-char and kummer take q < 100")
+        raise ValueError(f"q = {q} is too large; power-char, kummer and norm take q < 100")
     return q
 
 
@@ -153,7 +153,7 @@ def _cmd_kummer(args):
 
 
 def _cmd_norm(args):
-    query = SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=args.q, l=args.l)
+    query = SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=_small_q(args.q), l=args.l)
     trace = symbol_algebra_norm_trace(query)
     outputs = {**vars(trace), "case": trace.case.value}
     yield {"alpha": args.alpha, "p": args.p, "q": args.q, "l": args.l}, outputs, None

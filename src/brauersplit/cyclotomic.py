@@ -52,7 +52,7 @@ from functools import lru_cache
 
 from .arith import multiplicative_order, require_prime
 
-# class number one, so `SymbolAlgebraQuery` has its p1; also the benchmark's q
+# only the benchmark's q list, read by bench/make_reference.py
 SUPPORTED_Q = (3, 5, 7, 11, 13, 17, 19)
 
 # Entries of each per-prime cache below: far above the 56 (p, q) pairs of a
@@ -240,7 +240,7 @@ def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
 @lru_cache(maxsize=64)
 def _check_order(q: int) -> int:
     # the one test of q, once per distinct q; a bad q raises, so is never cached
-    return require_prime(q, odd=True)
+    return require_prime(q, odd=True, name="q")
 
 
 def cyclotomic_polynomial(q: int) -> list[int]:
@@ -378,7 +378,7 @@ def cyclotomic_decomposition(p: int, l: int) -> DecompositionType:
     """Shape of p*Z[zeta_l] for primes p != l: unramified with residual
     degree ord(p mod l), hence (l-1)/f primes."""
     require_prime(p)
-    require_prime(l)
+    require_prime(l, name="l")
     if p == l:
         raise RamifiedPrimeError(f"p = l = {p} ramifies in Z[zeta_{l}]")
     f = multiplicative_order(p, l)

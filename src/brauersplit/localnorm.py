@@ -2,10 +2,11 @@
 
 In an unramified local extension of residual degree f, an element of the base
 field with valuation m is a norm iff f divides m; units are always norms.
-`symbol_algebra_norm_trace` applies this to the degree-q symbol algebra whose
-second parameter is the ql-th power of a prime element above p: the relative
-residual degree is read off the q-power residue character of the first
-parameter, and divisibility then settles norm membership.
+`symbol_algebra_norm_trace` applies this to the degree-q symbol algebra with
+parameters alpha and p1^(ql), p1 a prime element of the completion above p:
+p itself, since the completion is unramified over Q_p (Serre, *Local Fields*,
+Ch. V, Sec. 2), so no class number enters and q is any odd prime.  The
+character of alpha gives the relative residual degree; divisibility decides.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .cyclotomic import (
-    SUPPORTED_Q,
     CyclotomicInt,
     RamifiedPrimeError,
     find_prime_ideal,
@@ -40,8 +40,8 @@ class NormTraceCase(Enum):
 @dataclass(frozen=True)
 class SymbolAlgebraQuery:
     """Symbol algebra of degree q over the completion at a prime above p,
-    with parameters (alpha, p1^(q*l)).  Checks q in SUPPORTED_Q (p1 needs
-    class number one), p != q and l >= 1; the trace tests p is prime, once."""
+    with parameters (alpha, p1^(q*l)), p1 a prime element of it.  Checks
+    p != q and l >= 1; the trace checks p and q once."""
 
     alpha: int | CyclotomicInt
     p: int
@@ -49,8 +49,6 @@ class SymbolAlgebraQuery:
     l: int
 
     def __post_init__(self):
-        if self.q not in SUPPORTED_Q:
-            raise ValueError(f"q={self.q} unsupported; expected one of {SUPPORTED_Q}")
         if self.p == self.q:
             raise RamifiedPrimeError(f"p = q = {self.p} is outside the unramified analysis")
         if self.l < 1:

@@ -110,7 +110,7 @@ def congruence_criterion(n: int, q: int) -> bool:
     crit = CRITERIA.get(n)
     if crit is None:
         raise ValueError(f"n={n} unsupported; expected one of {SUPPORTED_N}")
-    require_prime(q, odd=True)
+    require_prime(q, odd=True, name="q")
     return crit.admits(q)
 
 
@@ -148,7 +148,7 @@ def represent(n: int, q: int) -> Representation | None:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    require_prime(q)
+    require_prime(q, name="q")
     r = sqrt_mod(-n, q)
     if r is None:
         return None

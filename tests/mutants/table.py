@@ -16,7 +16,12 @@ class Mutant(NamedTuple):
 
 
 CYCLO = "src/brauersplit/cyclotomic.py"
+LOCALNORM = "src/brauersplit/localnorm.py"
+PADIC = "src/brauersplit/padic.py"
 TC = "tests/test_cyclotomic.py::"
+TL = "tests/test_localnorm.py::"
+TCLI = "tests/test_cli.py::"
+TP = "tests/test_padic.py::"
 
 MUTANTS = (
     Mutant(
@@ -93,6 +98,13 @@ MUTANTS = (
         (TC + "test_q_2_is_refused_by_the_one_check",),
     ),
     Mutant(
+        "the q check's error names no argument, so p = 9 and q = 9 read alike",
+        CYCLO,
+        'return require_prime(q, odd=True, name="q")',
+        "return require_prime(q, odd=True)",
+        (TCLI + "test_prime_errors_name_the_refused_argument",),
+    ),
+    Mutant(
         "class-number-one gate back in find_prime_ideal",
         CYCLO,
         "    return PrimeIdealRep(p=p, q=q, g=factor_cyclotomic_mod_p(q, p)[0])",
@@ -113,6 +125,57 @@ MUTANTS = (
         "src/brauersplit/cli.py",
         "if q >= 100:",
         "if q > 101:",
-        ("tests/test_cli.py::test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q",),
+        (TCLI + "test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q",),
+    ),
+    Mutant(
+        "class-number-one gate back in SymbolAlgebraQuery",
+        LOCALNORM,
+        "        if self.p == self.q:\n",
+        "        if self.q not in (3, 5, 7, 11, 13, 17, 19):\n"
+        "            raise ValueError(f\"q={self.q} unsupported\")\n"
+        "        if self.p == self.q:\n",
+        (TL + "test_query_validation", TL + "test_trace_past_q_19_agrees_with_kummer_splitting"),
+    ),
+    Mutant(
+        "norm without the CLI's q bound",
+        "src/brauersplit/cli.py",
+        "q=_small_q(args.q)",
+        "q=args.q",
+        (TCLI + "test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q",),
+    ),
+    Mutant(
+        "f_rel with its two values swapped",
+        LOCALNORM,
+        "f_rel = 1 if chi.is_trivial else q",
+        "f_rel = q if chi.is_trivial else 1",
+        (TL + "test_trace_past_q_19_agrees_with_kummer_splitting",),
+    ),
+    Mutant(
+        "inert base read as f_prime = q",
+        LOCALNORM,
+        "if f_prime == q - 1:",
+        "if f_prime == q:",
+        (TL + "test_trace_past_q_19_agrees_with_kummer_splitting",),
+    ),
+    Mutant(
+        "symbol at inf is -1 if either argument is negative",
+        PADIC,
+        "return -1 if (a < 0 and b < 0) else 1",
+        "return -1 if (a < 0 or b < 0) else 1",
+        (TP + "test_symbol_at_infinity",),
+    ),
+    Mutant(
+        "symbol at 2 without the eps(u) eps(v) term",
+        PADIC,
+        "exponent = _eps(u) * _eps(v) + va * _omega(v) + vb * _omega(u)",
+        "exponent = va * _omega(v) + vb * _omega(u)",
+        (TP + "test_symbol_frozen_values",),
+    ),
+    Mutant(
+        "symbol at odd p without the sign (-1)^(va vb)",
+        PADIC,
+        "c = (-1) ** (va * vb) * u ** (vb % 2) * v ** (va % 2)",
+        "c = u ** (vb % 2) * v ** (va % 2)",
+        (TP + "test_oracle_agrees_with_symbol_at_high_valuations",),
     ),
 )

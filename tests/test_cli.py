@@ -215,13 +215,12 @@ def test_character_commands_reject_a_pseudoprime_p_and_an_unsupported_q():
     # psi_12 once reached Cantor-Zassenhaus modulo a composite; as a place
     # it must be a usage error, and promptly.  So must q = 2, and a q past
     # the CLI's bound q < 100 on the size of Phi_q (101, the first prime
-    # past it, and one far past it); `norm` refuses every q outside
-    # SUPPORTED_Q, where a prime element p1 exists.
+    # past it, and one far past it), which `norm` shares with the others.
     src = str(Path(brauersplit.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     psi12 = "318665857834031151167461"
     argvs = []
-    for p, q in ((psi12, "3"), ("7", "1000003"), ("7", "101"), ("7", "2")):
+    for p, q in ((psi12, "3"), ("7", "101"), ("7", "1000003"), ("7", "2")):
         argvs += [["power-char", "2", p, q], ["kummer", "2", p, q], ["norm", "2", p, q, "1"]]
     for argv in argvs:
         proc = subprocess.run(
@@ -332,12 +331,42 @@ def test_power_char_at_q_23_against_schoolbook_powers(capsys):
 
 def test_character_commands_take_every_odd_q_below_the_bound(capsys):
     for q in (23, 53, 97):
-        for command in ("power-char", "kummer"):
-            code, out, err = run_cli(capsys, command, "2", str(10**18 + 3), str(q))
-            assert (code, err) == (0, ""), (command, q)
+        for argv in (["power-char"], ["kummer"], ["norm", "1"]):
+            code, out, err = run_cli(capsys, argv[0], "2", str(10**18 + 3), str(q), *argv[1:])
+            assert (code, err) == (0, ""), (argv, q)
     # the slowest pair found for the bound: q = 97, f = 2, p just below psi_13
     rec = run_cli_subprocess("power-char", "2", "3317044064679886386006299", "97")
     assert len(rec["outputs"]["ideal_factor"]) == 3
+    rec = run_cli_subprocess("norm", "2", "3317044064679886386006299", "97", "1")
+    assert rec["outputs"]["f_prime"] == 2
+
+
+# pinned by CI: p = 1 mod 23, so f_prime = 1, and 2 is no 23rd power mod p
+NORM_AT_Q_23 = (
+    '{"command":"norm","inputs":{"alpha":2,"l":1,"p":1000000000000004477,"q":23},"outputs":'
+    '{"case":"split_base_char_nontrivial","f_prime":1,"f_rel":23,"is_norm":true,"m":23},"witness":null}'
+)
+
+
+def test_norm_at_q_23_agrees_with_kummer_and_power_char(capsys):
+    p = 1000000000000004477
+    assert run_cli(capsys, "norm", "2", str(p), "23", "1") == (0, NORM_AT_Q_23 + "\n", "")
+    _, out, _ = run_cli(capsys, "kummer", "2", str(p), "23")
+    assert records(out)[0]["outputs"] == {"splitting": "inert"}
+    _, out, _ = run_cli(capsys, "power-char", "2", str(p), "23")
+    chi = records(out)[0]["outputs"]
+    # the ideal is (p, x - r) with r a primitive 23rd root of unity mod p,
+    # and the character is the k with 2^((p - 1)/23) = r^k mod p
+    c, one = chi["ideal_factor"]
+    r, k = -c % p, chi["value"]
+    assert one == 1 and r != 1 and pow(r, 23, p) == 1
+    assert k != 0 and pow(2, (p - 1) // 23, p) == pow(r, k, p)
+
+
+def test_prime_errors_name_the_refused_argument(capsys):
+    # the two argvs differ only in which argument is not a prime
+    assert run_cli(capsys, "power-char", "2", "9", "3") == (2, "", "error: p = 9 is not a prime\n")
+    assert run_cli(capsys, "power-char", "2", "3", "9") == (2, "", "error: q = 9 is not a prime\n")
 
 
 def test_kummer(capsys):

@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from brauersplit.arith import multiplicative_order, primes_up_to
-from brauersplit.cyclotomic import CyclotomicInt, RamifiedPrimeError
+from brauersplit.cyclotomic import (
+    CyclotomicInt,
+    RamifiedPrimeError,
+    SplittingClass,
+    kummer_splitting,
+)
 from brauersplit.localnorm import (
     NormTraceCase,
     SymbolAlgebraQuery,
@@ -29,8 +34,10 @@ def test_norm_unramified_is_divisibility(m, f):
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        SymbolAlgebraQuery(alpha=2, p=7, q=23, l=1)
+    # q past 19 is accepted: p is the prime element p1 of the unramified
+    # completion, so no class number enters; ord(7 mod 23) = 22
+    trace = symbol_algebra_norm_trace(SymbolAlgebraQuery(alpha=2, p=7, q=23, l=1))
+    assert (trace.case, trace.f_prime, trace.is_norm) == (NormTraceCase.INERT_BASE, 22, True)
     with pytest.raises(RamifiedPrimeError):
         SymbolAlgebraQuery(alpha=2, p=3, q=3, l=1)
     with pytest.raises(ValueError, match="6 is not a prime"):
@@ -124,3 +131,30 @@ def test_trace_case_consistent_with_f_prime():
             else:
                 assert trace.f_prime < q - 1
             assert trace.f_prime == multiplicative_order(p, q)
+
+
+def test_trace_past_q_19_agrees_with_kummer_splitting():
+    # the trace takes every odd prime q; its f_rel and RAMIFIED case must
+    # tell the Kummer prime's splitting as kummer_splitting does
+    seen = set()
+    for q in (23, 29, 31, 37):
+        z, one, two = CyclotomicInt.zeta(q), CyclotomicInt.from_int(q, 1), CyclotomicInt.from_int(q, 2)
+        for p in primes_up_to(320):
+            if p == q:
+                continue
+            alphas = (2, 3, 10, p, z, z + two, z * z - one, CyclotomicInt.from_int(q, p))
+            for alpha in alphas:
+                trace = symbol_algebra_norm_trace(SymbolAlgebraQuery(alpha=alpha, p=p, q=q, l=1))
+                splitting = kummer_splitting(alpha, p, q)
+                seen.add(trace.case)
+                assert trace.f_prime == multiplicative_order(p, q), (alpha, p, q)
+                ramified = trace.case is NormTraceCase.RAMIFIED
+                assert ramified == (splitting is SplittingClass.RAMIFIED), (alpha, p, q)
+                if ramified:
+                    assert (trace.f_rel, trace.is_norm) == (None, None)
+                    continue
+                assert (trace.f_rel == 1) == (splitting is SplittingClass.SPLIT), (alpha, p, q)
+                inert_base = trace.case is NormTraceCase.INERT_BASE
+                assert inert_base == (trace.f_prime == q - 1), (alpha, p, q)
+                assert trace.is_norm is True
+    assert seen == set(NormTraceCase)
