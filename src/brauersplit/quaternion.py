@@ -19,11 +19,12 @@ folded as byte arrays over its odd numbers, with no Python work per prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import compress
 from math import isqrt
 
+from ._record import Record
 from .arith import _odd_prime_segments, factorize, legendre_symbol, require_prime, sqrt_mod
 from .padic import _local_symbol, hilbert_product
 
@@ -32,32 +33,27 @@ from .padic import _local_symbol, hilbert_product
 CONVERSE_PROVEN = frozenset({3, 5, 7, 13})
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(Record, namedtuple("QuaternionAlgebra", "a b")):
     """The algebra with generators squaring to a and b and anticommuting."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0 or self.b == 0:
+    def __new__(cls, a: int, b: int):
+        if a == 0 or b == 0:
             raise ValueError("quaternion algebra needs nonzero parameters")
+        return super().__new__(cls, a, b)
 
 
-@dataclass(frozen=True)
-class RepresentationCriterion:
-    """Residue classes (and special prime, if any) printed for
-    q = x^2 + n*y^2, q an odd prime.
+class RepresentationCriterion(Record, namedtuple("RepresentationCriterion", "n modulus classes special_primes")):
+    """Residue classes mod `modulus` (and special primes, if any), two
+    frozensets, printed for q = x^2 + n*y^2, q an odd prime.
 
     Exact for the ten idoneal n.  For n = 14 they cut out the genus of
     x^2 + 14*y^2, which also holds 2*x^2 + 7*y^2; `representation_criterion`
     decides that case exactly.
     """
 
-    n: int
-    modulus: int
-    classes: frozenset[int]
-    special_primes: frozenset[int]
+    __slots__ = ()
 
     def admits(self, q: int) -> bool:
         return q in self.special_primes or q % self.modulus in self.classes
@@ -87,12 +83,10 @@ CRITERIA: dict[int, RepresentationCriterion] = {
 SUPPORTED_N = tuple(sorted(CRITERIA))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record, namedtuple("Representation", "x y")):
     """Nonnegative solution of x^2 + n*y^2 = q."""
 
-    x: int
-    y: int
+    __slots__ = ()
 
 
 def is_split_quaternion_Q(algebra: QuaternionAlgebra) -> bool:
@@ -171,22 +165,14 @@ def split_over_odd_degree_field(degree: int, algebra: QuaternionAlgebra) -> bool
     return is_split_quaternion_Q(algebra)
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Sweep outcome for one n: counts, disagreement primes, verdicts."""
+class EquivalenceReport(Record, namedtuple("EquivalenceReport", (
+        "n bound primes_checked split_count congruence_count representation_count disagreements"
+        " representation_iff_congruence congruence_implies_split split_implies_congruence"
+        " converse_required converse_failures"))):
+    """Sweep outcome for one n: counts, disagreement primes (tuples),
+    verdicts."""
 
-    n: int
-    bound: int
-    primes_checked: int
-    split_count: int
-    congruence_count: int
-    representation_count: int
-    disagreements: tuple[int, ...]
-    representation_iff_congruence: bool
-    congruence_implies_split: bool
-    split_implies_congruence: bool
-    converse_required: bool
-    converse_failures: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def mandated_ok(self) -> bool:
@@ -198,7 +184,7 @@ class EquivalenceReport:
 
     def to_dict(self) -> dict:
         return {
-            **vars(self),
+            **self._asdict(),
             "disagreements": list(self.disagreements),
             "converse_failures": list(self.converse_failures),
             "mandated_ok": self.mandated_ok,

@@ -18,6 +18,7 @@ class Mutant(NamedTuple):
 CYCLO = "src/brauersplit/cyclotomic.py"
 LOCALNORM = "src/brauersplit/localnorm.py"
 PADIC = "src/brauersplit/padic.py"
+RECORD = "src/brauersplit/_record.py"
 TC = "tests/test_cyclotomic.py::"
 TL = "tests/test_localnorm.py::"
 TCLI = "tests/test_cli.py::"
@@ -25,11 +26,39 @@ TP = "tests/test_padic.py::"
 
 MUTANTS = (
     Mutant(
-        "x^q - 1 slot width one bit short",
+        "Montgomery R = 2^k with k one short",
         CYCLO,
-        "self.w = w = (terms * (p - 1) ** 2).bit_length()",
-        "self.w = w = (terms * (p - 1) ** 2).bit_length() - self.wrap",
+        "k = ((most - 1) // p).bit_length()",
+        "k = ((most - 1) // p).bit_length() - 1",
+        (TC + "test_product_of_the_largest_slots_modulo_x_q_minus_1", TC + "test_a_chain_of_products_stays_lazy"),
+    ),
+    Mutant(
+        "p' = +1/p mod R, the wrong sign",
+        CYCLO,
+        "self.pinv = -pow(p, -1, R) % R",
+        "self.pinv = pow(p, -1, R)",
         (TC + "test_product_of_the_largest_slots_modulo_x_q_minus_1",),
+    ),
+    Mutant(
+        "reduction mask modulo g spans n, not 2n - 1, product slots",
+        CYCLO,
+        "(1 << (n if self.wrap else 2 * n - 1) * w)",
+        "(1 << n * w)",
+        (TC + "test_product_of_the_largest_slots_modulo_g",),
+    ),
+    Mutant(
+        "low product slots not lifted by R before the fold",
+        CYCLO,
+        "r = (x & self.lomask) * self.one",
+        "r = x & self.lomask",
+        (TC + "test_product_of_the_largest_slots_modulo_g",),
+    ),
+    Mutant(
+        "p = 2 reduced like an odd p (R = 1, p' = 0: no reduction)",
+        CYCLO,
+        "        if not self.k:\n            return r & self.mk\n",
+        "",
+        (TC + "test_product_of_the_largest_slots_modulo_x_q_minus_1", TC + "test_a_chain_of_products_stays_lazy"),
     ),
     Mutant(
         "f = 1 roots include r^0 = 1",
@@ -48,8 +77,8 @@ MUTANTS = (
     Mutant(
         "trial exponent 0 at p = 2",
         CYCLO,
-        "ring.pow(u, (p - 1) // 2 or 1)",
-        "ring.pow(u, (p - 1) // 2)",
+        "ring.pow(ring.enter(u), (p - 1) // 2 or 1)",
+        "ring.pow(ring.enter(u), (p - 1) // 2)",
         (TC + "test_trials_are_fixed_by_frobenius",),
     ),
     Mutant(
@@ -93,8 +122,8 @@ MUTANTS = (
     Mutant(
         "CyclotomicInt checks q with require_prime, which admits 2",
         CYCLO,
-        "        _check_order(self.q)\n",
-        "        require_prime(self.q)\n",
+        "        _check_order(q)\n        if len(coeffs)",
+        "        require_prime(q)\n        if len(coeffs)",
         (TC + "test_q_2_is_refused_by_the_one_check",),
     ),
     Mutant(
@@ -130,10 +159,10 @@ MUTANTS = (
     Mutant(
         "class-number-one gate back in SymbolAlgebraQuery",
         LOCALNORM,
-        "        if self.p == self.q:\n",
-        "        if self.q not in (3, 5, 7, 11, 13, 17, 19):\n"
-        "            raise ValueError(f\"q={self.q} unsupported\")\n"
-        "        if self.p == self.q:\n",
+        "        if p == q:\n            raise RamifiedPrimeError",
+        "        if q not in (3, 5, 7, 11, 13, 17, 19):\n"
+        "            raise ValueError(f\"q={q} unsupported\")\n"
+        "        if p == q:\n            raise RamifiedPrimeError",
         (TL + "test_query_validation", TL + "test_trace_past_q_19_agrees_with_kummer_splitting"),
     ),
     Mutant(
@@ -156,6 +185,27 @@ MUTANTS = (
         "if f_prime == q - 1:",
         "if f_prime == q:",
         (TL + "test_trace_past_q_19_agrees_with_kummer_splitting",),
+    ),
+    Mutant(
+        "a dataclasses import back in the library",
+        PADIC,
+        "from collections import namedtuple\n",
+        "from collections import namedtuple\nfrom dataclasses import dataclass  # noqa: F401\n",
+        ("tests/test_package.py::test_import_loads_neither_numpy_nor_process_pool",),
+    ),
+    Mutant(
+        "records built by _make and _replace skip their class's checks",
+        RECORD,
+        "        return cls(*iterable)",
+        "        return tuple.__new__(cls, iterable)",
+        ("tests/test_package.py::test_records_keep_their_dataclass_semantics",),
+    ),
+    Mutant(
+        "a record equals the plain tuple of its fields",
+        RECORD,
+        "type(other) is type(self) and tuple.__eq__(self, other)",
+        "tuple.__eq__(self, other)",
+        ("tests/test_package.py::test_records_keep_their_dataclass_semantics",),
     ),
     Mutant(
         "symbol at inf is -1 if either argument is negative",

@@ -187,41 +187,114 @@ def test_image_of_the_largest_coefficients_in_residue_rings():
                 assert got == poly_mod([p - 1] * (q - 1), list(g), p), (q, p, g)
 
 
+# p = 2^61 - 1 needs the most limbs per slot among these; p = 2 has exact slots
+LAZY_PRIMES = (2, 3, 5, 999983, 10**18 + 9, 2**61 - 1)
+
+
+def _lazy_top(p):
+    # the largest slot of a Montgomery form: 2p - 1, or 1 at p = 2 (R = 1)
+    return 2 * p - 1 if p > 2 else 1
+
+
+def _check_lazy(ring, v):
+    # the raw slots of a Montgomery form are each below 2p, none past the n slots
+    n = len(ring.low)
+    assert v >> (n * ring.w) == 0
+    slots = [v >> s & ring.slot for s in ring.low]
+    assert max(slots) <= _lazy_top(ring.p), (ring.p, slots)
+
+
+def _lazy_rings(q, p, rng):
+    # (ring, modulus of its slots): modulo x^q - 1 and every factor of Phi_q,
+    # or, at q = 0, general moduli of degree 1..18 as `poly_pow_mod` builds
+    if not q:
+        gs = [_random_modulus(rng, n, p, monic) for n in (1, 2, 9, 18) for monic in (True, False)]
+        return [(_PackedRing(g, p), g) for g in gs]
+    x_q_minus_1 = [-1] + [0] * (q - 1) + [1]
+    gs = [cyclotomic_polynomial(q)] + [list(g) for g in factor_cyclotomic_mod_p(q, p)]
+    # Phi_q, a factor too when f = q - 1, gives the ring of x^q - 1
+    return [(ring, x_q_minus_1 if ring.wrap else g) for ring, g in ((_PackedRing(g, p, q), g) for g in gs)]
+
+
 def test_frobenius_of_the_largest_slots():
-    # every slot p - 1 puts the largest sums `frobenius` forms into its
-    # slots; the result is the substitution v(x^(p mod q)) reduced by the
-    # ring's modulus, and it is v^p
+    # slots p - 1 through the boundary, then every slot at the largest lazy
+    # residue: the result is the substitution v(x^(p mod q)) of the element
+    # the slots represent, reduced by the ring's modulus, which is v^p by
+    # schoolbook, and its own slots stay lazy
+    rng = random.Random(5)
     for q in SUPPORTED_Q:
-        x_q_minus_1 = [-1] + [0] * (q - 1) + [1]
-        for p in (*primes_up_to(50), 10**18 + 9):
+        for p in sorted({*primes_up_to(50), *LAZY_PRIMES}):
             if p == q:
                 continue
             s = p % q
-            for h in [cyclotomic_polynomial(q)] + [list(h) for h in factor_cyclotomic_mod_p(q, p)]:
-                ring = _PackedRing(h, p, q)
-                g = x_q_minus_1 if ring.wrap else h
+            for ring, g in _lazy_rings(q, p, rng):
                 n = len(g) - 1
-                poly = [0] * ((n - 1) * s + 1)
-                for i in range(n):
-                    poly[i * s] = p - 1
-                want = poly_mod(poly, g, p)
-                assert want == schoolbook_pow_mod([p - 1] * n, p, g, p), (q, p, g)
-                assert ring.unpack(ring.frobenius(ring.pack([p - 1] * n))) == want, (q, p, g)
+                for v in (ring.enter(ring.pack([p - 1] * n)), ring.pack([_lazy_top(p)] * n)):
+                    a = ring.unpack(ring.leave(v))
+                    poly = [0] * ((len(a) - 1) * s + 1)
+                    for i, c in enumerate(a):
+                        poly[i * s] = c
+                    want = poly_mod(poly, g, p)
+                    assert want == schoolbook_pow_mod(a, p, g, p), (q, p, g)
+                    got = ring.frobenius(v)
+                    _check_lazy(ring, got)
+                    assert ring.unpack(ring.leave(got)) == want, (q, p, g, v)
 
 
 def test_product_of_the_largest_slots_modulo_x_q_minus_1():
-    # every slot p - 1 makes every slot of the folded product q (p - 1)^2,
-    # the largest the ring of Phi_q must hold; it is exactly the schoolbook
-    # product reduced mod x^q - 1
+    # every slot at the largest lazy residue makes every slot of the folded
+    # product q (2p - 1)^2, the largest the ring of Phi_q must reduce; the
+    # result is the schoolbook product mod x^q - 1 of the element those slots
+    # represent, and its slots are lazy again
     for q in (*SUPPORTED_Q, 23):
         x_q_minus_1 = [-1] + [0] * (q - 1) + [1]
-        for p in (2, 3, 5, 101, 999983, 10**18 + 9):
+        for p in (*LAZY_PRIMES, 101):
             if p == q:
                 continue
             ring = _PackedRing(cyclotomic_polynomial(q), p, q)
-            top = [p - 1] * q
-            want = poly_mod(poly_mul(top, top, p), x_q_minus_1, p)
-            assert ring.unpack(ring.mul(ring.pack(top), ring.pack(top))) == want, (q, p)
+            top = ring.pack([_lazy_top(p)] * q)
+            a = ring.unpack(ring.leave(top))
+            want = poly_mod(poly_mul(a, a, p), x_q_minus_1, p)
+            got = ring.mul(top, top)
+            _check_lazy(ring, got)
+            assert ring.unpack(ring.leave(got)) == want, (q, p)
+
+
+def test_product_of_the_largest_slots_modulo_g():
+    # the same extreme modulo each factor g of Phi_q and modulo general g
+    # (q = 0): 2n - 1 product slots of n (2p - 1)^2 each, reduced, lifted by R
+    # and folded through x^j mod g; against the schoolbook product mod g
+    rng = random.Random(6)
+    for q in (0, *SUPPORTED_Q):
+        for p in LAZY_PRIMES:
+            if p == q:
+                continue
+            for ring, g in _lazy_rings(q, p, rng):
+                if ring.wrap:
+                    continue
+                top = ring.pack([_lazy_top(p)] * (len(g) - 1))
+                a = ring.unpack(ring.leave(top))
+                got = ring.mul(top, top)
+                _check_lazy(ring, got)
+                assert ring.unpack(ring.leave(got)) == poly_mod(poly_mul(a, a, p), g, p), (q, p, g)
+
+
+def test_a_chain_of_products_stays_lazy():
+    # 40 products by the largest lazy element keep every slot below 2p, and
+    # give the 41st power of the element it represents, in both ring modes
+    rng = random.Random(7)
+    for q in (0, *SUPPORTED_Q):
+        for p in LAZY_PRIMES:
+            if p == q:
+                continue
+            for ring, g in _lazy_rings(q, p, rng)[:3]:
+                top = ring.pack([_lazy_top(p)] * (len(g) - 1))
+                acc = top
+                for _ in range(40):
+                    acc = ring.mul(acc, top)
+                    _check_lazy(ring, acc)
+                a = ring.unpack(ring.leave(top))
+                assert ring.unpack(ring.leave(acc)) == poly_pow_mod(a, 41, g, p), (q, p, g)
 
 
 def test_constant_power_is_taken_mod_p_minus_1():
