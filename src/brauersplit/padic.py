@@ -50,6 +50,24 @@ class Place(Record, namedtuple("Place", "p")):
     def __str__(self) -> str:
         return "inf" if self.p == 0 else str(self.p)
 
+    # a Place orders against a Place only; `Record` refuses every other order
+    def _p(self, other) -> int:
+        if type(other) is not Place:
+            raise TypeError(f"Place does not order against {type(other).__name__}")
+        return other.p
+
+    def __lt__(self, other):
+        return self.p < self._p(other)
+
+    def __le__(self, other):
+        return self.p <= self._p(other)
+
+    def __gt__(self, other):
+        return self.p > self._p(other)
+
+    def __ge__(self, other):
+        return self.p >= self._p(other)
+
 
 class ConicPoint(Record, namedtuple("ConicPoint", "x y z")):
     """Primitive integer solution of a*x^2 + b*y^2 = z^2."""

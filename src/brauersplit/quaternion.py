@@ -14,14 +14,14 @@ printed classes and representation against each other in one streaming pass,
 with memory flat in the bound: split (by Hilbert reciprocity) and congruence
 are read once per class mod 8n from the residue, and representability from
 the values of x^2 + n*y^2 marked per segment of the sieve.  Each segment is
-folded as byte arrays over its odd numbers, with no Python work per prime.
+folded as integer bit lanes over its odd numbers, with Python work per
+reported prime only.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache
-from itertools import compress
 from math import isqrt
 
 from ._record import Record
@@ -230,14 +230,15 @@ def _class_codes(n: int) -> bytes:
 
 
 def _segment_codes(n: int, bound: int, size: int):
-    """Yield (start, codes) for the odd numbers up to bound, size numbers at a
-    time: codes[i] = 8 + 4*split + 2*congruence + representable if start + 2*i
-    is prime, else 0.
+    """Yield (start, count, p, s, c, r) for the odd numbers up to bound, size
+    numbers at a time: four integer bit lanes whose byte i is 1 if start + 2*i
+    is prime (p), and also split (s), in the printed classes (c) or
+    representable (r), else 0.
 
     Each segment is three byte arrays over its odd numbers, the prime flags,
-    the class codes and the representation marks, read as integers p, c and
-    r: (8*p + c + r) & 15*p.  The bytes of c are in {0, 2, 4, 6} and of r in
-    {0, 1}, so no byte carries into the next, and a composite reads 0."""
+    the class codes and the representation marks, read as integers.  The
+    class bytes are 4*split + 2*congruence, so a shift and an AND with p
+    leave one lane each, and every lane is 0 at a composite."""
     odd = _class_codes(n)
     halves = [x * x // 2 for x in range(isqrt(bound) + 1)]
     for start, flags in _odd_prime_segments(bound, size):
@@ -245,13 +246,16 @@ def _segment_codes(n: int, bound: int, size: int):
         first = start % (8 * n) // 2  # the index of start's class in odd
         classes = (odd * (count // (4 * n) + 2))[first : first + count]
         marks = _represented(n, start, count, halves)  # reads nothing of the table
-        p, c, r = (int.from_bytes(b, "little") for b in (flags, classes, marks))
-        yield start, ((8 * p + c + r) & 15 * p).to_bytes(count, "little")
+        p, classes, marks = (int.from_bytes(b, "little") for b in (flags, classes, marks))
+        yield start, count, p, classes >> 2 & p, classes >> 1 & p, marks & p
 
 
-# bytes.translate tables: 1 at the codes of a disagreement, of a converse failure
-_DISAGREEMENT = bytes(8) + bytes([0, 1, 1, 1, 1, 1, 1, 0]) + bytes(240)
-_CONVERSE_FAILURE = bytes(8) + bytes([0, 0, 0, 0, 1, 1, 0, 0]) + bytes(240)
+def _hits(start: int, lane: int, count: int):
+    # the odd numbers start + 2*i at the bytes i of the lane that are 1
+    data = lane.to_bytes(count, "little")
+    i = -1
+    while (i := data.find(1, i + 1)) >= 0:
+        yield start + 2 * i
 
 
 def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
@@ -260,31 +264,38 @@ def verify_equivalence(n: int, bound: int) -> EquivalenceReport:
 
     One pass over the primes in runs of 2^15 odd numbers; no list of primes
     or rows is kept, so memory beyond the reported primes is O(sqrt(bound))
-    plus one segment."""
+    plus one segment.  The counts are bit counts of the lanes, and a lane of
+    hits is turned into bytes and searched only when it is nonzero."""
     if n not in CRITERIA:
         raise ValueError(f"n={n} unsupported; expected one of {SUPPORTED_N}")
     if bound < 3:
         raise ValueError("bound must be at least 3")
-    counts = [0] * 8  # primes per code 4*split + 2*congruence + representable
+    primes = splits = congruences = representations = 0
+    unequal = unsplit = 0  # OR over the segments of r ^ c and of c & ~s
     disagreements: list[int] = []
     converse_failures: list[int] = []
-    for start, codes in _segment_codes(n, bound, 1 << 15):
-        counts = [total + codes.count(8 + k) for k, total in enumerate(counts)]
-        # compress walks every odd number; most segments have no hit at all
-        if 1 in (hits := codes.translate(_DISAGREEMENT)):
-            disagreements += compress(range(start, bound + 1, 2), hits)
-        if 1 in (hits := codes.translate(_CONVERSE_FAILURE)):
-            converse_failures += compress(range(start, bound + 1, 2), hits)
+    for start, count, p, s, c, r in _segment_codes(n, bound, 1 << 15):
+        primes += p.bit_count()
+        splits += s.bit_count()
+        congruences += c.bit_count()
+        representations += r.bit_count()
+        # (s ^ c) & c is c & ~s, and (s ^ c) & s is s & ~c
+        unequal |= (rc := r ^ c)
+        unsplit |= (sc := s ^ c) & c
+        if lane := rc | sc:
+            disagreements += _hits(start, lane, count)
+        if lane := sc & s:
+            converse_failures += _hits(start, lane, count)
     return EquivalenceReport(
         n=n,
         bound=bound,
-        primes_checked=sum(counts),
-        split_count=sum(counts[4:]),
-        congruence_count=sum(counts[2:4] + counts[6:]),
-        representation_count=sum(counts[1::2]),
+        primes_checked=primes,
+        split_count=splits,
+        congruence_count=congruences,
+        representation_count=representations,
         disagreements=tuple(disagreements),
-        representation_iff_congruence=not (counts[1] + counts[2] + counts[5] + counts[6]),
-        congruence_implies_split=not (counts[2] + counts[3]),
+        representation_iff_congruence=not unequal,
+        congruence_implies_split=not unsplit,
         split_implies_congruence=not converse_failures,
         converse_required=n in CONVERSE_PROVEN,
         converse_failures=tuple(converse_failures),

@@ -18,11 +18,13 @@ class Mutant(NamedTuple):
 CYCLO = "src/brauersplit/cyclotomic.py"
 LOCALNORM = "src/brauersplit/localnorm.py"
 PADIC = "src/brauersplit/padic.py"
+QUAT = "src/brauersplit/quaternion.py"
 RECORD = "src/brauersplit/_record.py"
 TC = "tests/test_cyclotomic.py::"
 TL = "tests/test_localnorm.py::"
 TCLI = "tests/test_cli.py::"
 TP = "tests/test_padic.py::"
+TQ = "tests/test_quaternion.py::"
 
 MUTANTS = (
     Mutant(
@@ -227,5 +229,57 @@ MUTANTS = (
         "c = (-1) ** (va * vb) * u ** (vb % 2) * v ** (va % 2)",
         "c = u ** (vb % 2) * v ** (va % 2)",
         (TP + "test_oracle_agrees_with_symbol_at_high_valuations",),
+    ),
+    Mutant(
+        "sieve strikes from (p - start) // 2 without `% p`",
+        "src/brauersplit/arith.py",
+        "i = (p - start) // 2 % p if m < start else (m - start) // 2",
+        "i = (p - start) // 2 if m < start else (m - start) // 2",
+        ("tests/test_arith.py::test_odd_prime_segments_flag_the_odd_primes",),
+    ),
+    Mutant(
+        "class table without the symbol at 2 for odd n",
+        QUAT,
+        "places = sorted(factorize(n).keys() | {2})",
+        "places = sorted(factorize(n).keys())",
+        (TQ + "test_sweep_rows_match_the_public_decisions",),
+    ),
+    Mutant(
+        "_represented starts x at the wrong parity",
+        QUAT,
+        "x += (x + ny2 + 1) % 2",
+        "x += (x + ny2) % 2",
+        (TQ + "test_represented_marks_exactly_the_odd_values_of_the_form",),
+    ),
+    Mutant(
+        "Cornacchia runs Euclid one step past x = isqrt(q)",
+        QUAT,
+        "while b > bound:",
+        "while b >= bound:",
+        (TQ + "test_represent_matches_scan",),
+    ),
+    Mutant(
+        "fold reads the converse lane as c & ~s",
+        QUAT,
+        "if lane := sc & s:",
+        "if lane := sc & c:",
+        (TQ + "test_report_is_the_fold_of_the_rows",),
+    ),
+    Mutant(
+        "hit primes read at start + i, not start + 2i",
+        QUAT,
+        "yield start + 2 * i",
+        "yield start + i",
+        (TQ + "test_report_is_the_fold_of_the_rows",),
+    ),
+    Mutant(
+        "records order like the tuple of their fields",
+        RECORD,
+        "    def __lt__(self, other):\n"
+        "        # a tuple would order by the fields, across classes and against tuples\n"
+        "        raise TypeError(f\"{type(self).__name__} does not order\")\n\n"
+        "    __le__ = __gt__ = __ge__ = __lt__\n",
+        "",
+        ("tests/test_package.py::test_records_keep_their_dataclass_semantics",),
     ),
 )

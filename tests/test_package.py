@@ -25,6 +25,7 @@ def test_import_loads_neither_numpy_nor_process_pool():
 def test_records_keep_their_dataclass_semantics():
     from brauersplit import (
         CyclotomicInt,
+        Place,
         PowerCharValue,
         QuaternionAlgebra,
         RamifiedPrimeError,
@@ -50,5 +51,11 @@ def test_records_keep_their_dataclass_semantics():
     zeta = CyclotomicInt.zeta(3)
     algebra = QuaternionAlgebra(3, 5)
     for op in (lambda: 2 * zeta, lambda: algebra + (1,), lambda: (1,) + algebra, lambda: algebra * 2):
+        with pytest.raises(TypeError):
+            op()
+    # no order across classes or against a plain tuple; a Place orders against a Place only
+    assert Place.infinite() < Place(2) <= Place(2) < Place(3) and Place(3) >= Place(3) > Place(2)
+    for op in (lambda: QuaternionAlgebra(3, 5) < Representation(3, 6), lambda: Place(2) < (3,),
+               lambda: sorted([Place(3), (2,)]), lambda: algebra >= algebra, lambda: (3, 5) > algebra):
         with pytest.raises(TypeError):
             op()

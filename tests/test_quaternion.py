@@ -294,14 +294,13 @@ def test_verify_equivalence_rejects_bad_input():
 
 def _sweep_rows(n, bound, size):
     # (q, split, congruence, representable) for every odd prime q <= bound,
-    # decoded from the segment codes 8 + 4*split + 2*congruence + representable
-    # at q = start + 2*i (0 at a composite)
-    return [
-        (start + 2 * i, bool(k & 4), bool(k & 2), bool(k & 1))
-        for start, codes in _segment_codes(n, bound, size)
-        for i, k in enumerate(codes)
-        if k
-    ]
+    # decoded byte by byte from the segment lanes p, s, c and r at
+    # q = start + 2*i
+    rows = []
+    for start, count, *lanes in _segment_codes(n, bound, size):
+        p, s, c, r = (lane.to_bytes(count, "little") for lane in lanes)
+        rows += [(start + 2 * i, bool(s[i]), bool(c[i]), bool(r[i])) for i in range(count) if p[i]]
+    return rows
 
 
 def test_criteria_moduli_divide_8n():
@@ -362,20 +361,24 @@ def test_represented_marks_exactly_the_odd_values_of_the_form():
 
 
 def test_report_is_the_fold_of_the_rows():
-    # verify_equivalence folds each segment with bytes.count and translate;
-    # the row-by-row fold is the reference
-    for n in SUPPORTED_N:
-        rows = _sweep_rows(n, 3000, 3000)
-        report = verify_equivalence(n, 3000)
-        assert report.primes_checked == len(rows)
-        assert report.split_count == sum(s for _, s, _, _ in rows)
-        assert report.congruence_count == sum(c for _, _, c, _ in rows)
-        assert report.representation_count == sum(r for _, _, _, r in rows)
-        assert report.disagreements == tuple(q for q, s, c, r in rows if not s == c == r)
-        assert report.converse_failures == tuple(q for q, s, c, _ in rows if s and not c)
-        assert report.representation_iff_congruence == all(r == c for _, _, c, r in rows)
-        assert report.congruence_implies_split == all(s for _, s, c, _ in rows if c)
-        assert report.split_implies_congruence == all(c for _, s, c, _ in rows if s)
+    # verify_equivalence folds each segment's lanes by bit counts and ORs and
+    # finds the hit primes in the lanes' bytes; the row-by-row fold over the
+    # same 2^15-number segments is the reference.  65537 fills exactly one
+    # segment, 65539 adds a second of one number (a prime), 140000 ends in a
+    # third; n = 14 has disagreements in every full segment
+    cases = [(n, bound) for bound in (3000, 140000) for n in SUPPORTED_N] + [(14, 65537), (14, 65539)]
+    for n, bound in cases:
+        rows = _sweep_rows(n, bound, 1 << 15)
+        report = verify_equivalence(n, bound)
+        assert report.primes_checked == len(rows), (n, bound)
+        assert report.split_count == sum(s for _, s, _, _ in rows), (n, bound)
+        assert report.congruence_count == sum(c for _, _, c, _ in rows), (n, bound)
+        assert report.representation_count == sum(r for _, _, _, r in rows), (n, bound)
+        assert report.disagreements == tuple(q for q, s, c, r in rows if not s == c == r), (n, bound)
+        assert report.converse_failures == tuple(q for q, s, c, _ in rows if s and not c), (n, bound)
+        assert report.representation_iff_congruence == all(r == c for _, _, c, r in rows), (n, bound)
+        assert report.congruence_implies_split == all(s for _, s, c, _ in rows if c), (n, bound)
+        assert report.split_implies_congruence == all(c for _, s, c, _ in rows if s), (n, bound)
 
 
 def test_sweep_memory_is_flat_in_the_bound():
